@@ -8,6 +8,12 @@ topological order of the graph) and walks it once in reverse.
 Design notes:
   - float32 is the working precision; gradient checking requires float64
     tensors, constructed via set_default_dtype or explicit dtype arguments.
+  - a Python scalar operand of add/sub/mul/div is weak, as in numpy's own
+    NEP 50 rule: it takes the dtype of the tensor it meets. A float32 model
+    therefore stays float32 end to end, and float64 tensors stay float64.
+  - attention() is one fused op for softmax(scale * q @ k^T + bias) @ v. It
+    works in a single (heads, S, S) buffer, keeps only the attention weights
+    for backward, and gives the same bits as the composed op chain.
   - broadcasting is supported for leading batch dimensions (gradients are
     reduced back to the parent shape); anything fancier should be written
     with explicit reshape.
@@ -30,7 +36,8 @@ __all__ = [
     "set_matmul_bfloat16", "matmul", "add", "sub", "mul", "neg", "div",
     "transpose", "reshape", "concat", "stack", "narrow", "index_select", "pick",
     "softmax", "log_softmax", "layer_norm", "gelu", "tanh", "mean", "sum_",
-    "masked_fill", "cross_entropy", "l2_normalize", "backward", "grad_check",
+    "masked_fill", "attention", "cross_entropy", "l2_normalize", "backward",
+    "grad_check",
 ]
 
 _DEFAULT_DTYPE = np.float32
@@ -143,7 +150,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_ensure(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -203,6 +210,20 @@ class ComputationTape:
 
 def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _is_weak(x) -> bool:
+    """A Python (not numpy) scalar: its dtype yields to the other operand's."""
+    return isinstance(x, (int, float)) and not isinstance(x, np.generic)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Wrap a binary op's operands; a Python scalar takes the tensor's dtype."""
+    if isinstance(a, Tensor) and _is_weak(b):
+        return a, Tensor(np.asarray(b, dtype=a.dtype))
+    if isinstance(b, Tensor) and _is_weak(a):
+        return Tensor(np.asarray(a, dtype=b.dtype)), b
+    return _ensure(a), _ensure(b)
 
 
 def _track(*tensors: Tensor) -> bool:
@@ -265,7 +286,7 @@ def randn(shape, rng: np.random.Generator, scale: float = 1.0,
 # elementwise and arithmetic ops
 
 def add(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def bw(out):
@@ -278,7 +299,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def bw(out):
@@ -291,7 +312,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def bw(out):
@@ -314,7 +335,7 @@ def neg(a) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
 
     def bw(out):
@@ -345,13 +366,13 @@ def gelu(a) -> Tensor:
     """GELU with the tanh approximation."""
     a = _ensure(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     y = 0.5 * x * (1.0 + t)
 
     def bw(out):
         if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
             grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             _accumulate(a, out.grad * grad)
 
@@ -490,15 +511,22 @@ def pick(a, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and normalizations
 
+def _keepdims_shape(shape: tuple[int, ...], axis) -> tuple[int, ...]:
+    """Shape of a reduction over axis (None: all axes) with keepdims=True."""
+    if axis is None:
+        return (1,) * len(shape)
+    axes = {ax % len(shape) for ax in (axis if isinstance(axis, tuple) else (axis,))}
+    return tuple(1 if i in axes else n for i, n in enumerate(shape))
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    kept = _keepdims_shape(a.data.shape, axis)
 
     def bw(out):
         if a.requires_grad:
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+            g = out.grad.reshape(kept)
             _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out_data, (a,), bw)
@@ -508,12 +536,11 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure(a)
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.shape[axis]
+    kept = _keepdims_shape(a.data.shape, axis)
 
     def bw(out):
         if a.requires_grad:
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+            g = out.grad.reshape(kept)
             _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
 
     return _make(out_data, (a,), bw)
@@ -566,6 +593,51 @@ def layer_norm(a, eps: float = 1e-12, axis: int = -1) -> Tensor:
             _accumulate(a, inv * (g - gm - y * gy))
 
     return _make(y, (a,), bw)
+
+
+def attention(q, k, v, bias, scale: float, key_pad=None) -> Tensor:
+    """Fused softmax(scale * q @ k^T + bias, padded keys -> -1e9) @ v.
+
+    q, k, v are (..., S, dh); bias is a constant array that broadcasts to
+    the (..., S, S) logits and is cast to their dtype; key_pad is a boolean
+    (S,) mask of padded keys, or None. The logits live in one buffer that
+    each step updates in place, and only the attention weights are kept for
+    backward. The steps run in the order of the composed chain (matmul, mul,
+    add, masked_fill, softmax, matmul), so values and gradients are bit for
+    bit those of that chain.
+    """
+    q, k, v = _ensure(q), _ensure(k), _ensure(v)
+    scale_arr = np.asarray(scale, dtype=q.dtype)
+    pad = None if key_pad is None else np.asarray(key_pad, dtype=bool)
+    att = np.matmul(q.data, np.ascontiguousarray(np.swapaxes(k.data, -1, -2)))
+    att *= scale_arr
+    att += np.asarray(bias, dtype=att.dtype)
+    if pad is not None:
+        att[..., pad] = -1e9
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+
+    def bw(out):
+        g = out.grad
+        if v.requires_grad:
+            _accumulate(v, np.matmul(np.swapaxes(att, -1, -2), g))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dlogits = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        dlogits -= (dlogits * att).sum(axis=-1, keepdims=True)
+        dlogits *= att
+        if pad is not None:
+            dlogits[..., pad] = 0.0
+        dlogits *= scale_arr
+        if q.requires_grad:
+            kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+            _accumulate(q, np.matmul(dlogits, np.swapaxes(kt, -1, -2)))
+        if k.requires_grad:
+            dkt = np.matmul(np.swapaxes(q.data, -1, -2), dlogits)
+            _accumulate(k, np.swapaxes(dkt, -1, -2))
+
+    return _make(np.matmul(att, v.data), (q, k, v), bw)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:

@@ -133,10 +133,13 @@ def retrieval_run(mut: ModelUnderTest, dataset: RetrievalDataset, k: int,
     if not dataset.corpus:
         raise ValueError(f"dataset {dataset.name!r} has an empty corpus")
     doc_ids, matrix = _embed_corpus(mut, dataset.corpus, cache_dir)
+    corpus = matrix.astype(np.float64)
     ranked: dict[str, list[str]] = {}
     for qid in sorted(dataset.queries):
         q = embed_text(mut.model, mut.tokenizer, dataset.queries[qid])
-        sims = matrix.astype(np.float64) @ q.astype(np.float64)
+        # a per-row reduction, unlike BLAS gemv, gives identical rows
+        # identical sums, so exact ties stay ties
+        sims = (corpus * q.astype(np.float64)).sum(axis=1)
         order = sorted(range(len(doc_ids)),
                        key=lambda i: (-sims[i], doc_ids[i]))
         ranked[qid] = [doc_ids[i] for i in order[:k]]

@@ -9,28 +9,23 @@ Pieces that differ from a stock pre-norm transformer:
     a layer norm applied before projection.
 
 Forward functions operate on a single sequence (shape (S, d)); training
-loops over the items of a batch.
+loops over the items of a batch. Attention is one fused autodiff op
+(autodiff.attention), and each forward builds its ALiBi bias afresh, in the
+model's dtype, as a strided view of one (heads, 2S - 1) row per head.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    atomic_write_text,
-    file_hash,
-    load_arrays,
-    save_arrays,
-)
+from .checkpoint import atomic_write_text, file_hash, load_arrays, save_arrays
 from .tokenizer import TokenizerModel, Vocabulary
 
 MODEL_FORMAT_VERSION = 1
@@ -144,10 +139,20 @@ def alibi_bias_matrix(seq_len: int, slope: float) -> np.ndarray:
     return (-slope * np.abs(idx[:, None] - idx[None, :])).astype(np.float64)
 
 
-@functools.lru_cache(maxsize=16)
-def _alibi_stack(slopes: tuple[float, ...], seq_len: int, dtype_name: str) -> np.ndarray:
-    stack = np.stack([alibi_bias_matrix(seq_len, s) for s in slopes])
-    return stack.astype(np.dtype(dtype_name))
+def _alibi_stack(slopes: tuple[float, ...], seq_len: int, dtype) -> np.ndarray:
+    """(heads, S, S) read-only view equal to the stacked alibi_bias_matrix.
+
+    Each head's values come from one row of -slope * |d| for d in
+    [-(S - 1), S - 1], computed in float64 and cast to dtype as
+    alibi_bias_matrix(...).astype(dtype) would. Row i of a head is the
+    window of that row starting at offset S - 1 - i.
+    """
+    if seq_len < 1:
+        raise ValueError("seq_len must be >= 1")
+    dist = np.abs(np.arange(1 - seq_len, seq_len))
+    rows = (-np.asarray(slopes, dtype=np.float64)[:, None] * dist).astype(dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(rows, seq_len, axis=-1)
+    return windows[:, ::-1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +183,9 @@ class EncoderLayer:
     b_ffn_in: Tensor
     w_ffn_out: Tensor
     b_ffn_out: Tensor
+
+
+_LAYER_FIELDS = tuple(f.name for f in fields(EncoderLayer))
 
 
 @dataclass
@@ -212,9 +220,7 @@ class EncoderModel:
             "embedding.scorer": self.embedding.scorer,
         }
         for i, layer in enumerate(self.layers):
-            for name in ("ln1_gamma", "ln1_beta", "wq", "bq", "wk", "bk", "wv",
-                         "bv", "wo", "bo", "ln2_gamma", "ln2_beta", "w_ffn_in",
-                         "b_ffn_in", "w_ffn_out", "b_ffn_out"):
+            for name in _LAYER_FIELDS:
                 params[f"layers.{i}.{name}"] = getattr(layer, name)
         params["final_gamma"] = self.final_gamma
         params["final_beta"] = self.final_beta
@@ -244,76 +250,89 @@ def token_frequency_order(token_counts: np.ndarray | None, vocab_size: int) -> n
     return order.astype(np.int64)
 
 
+def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every parameter, in the order build_model
+    draws them; init is "normal", "identity", "zeros", "ones" or "gate"."""
+    d, k, f = config.hidden, config.num_projections, config.ffn_dim
+    specs = [("embedding.projections", (k, d, d), "identity"),
+             ("embedding.table", (config.vocab_size, d), "normal"),
+             ("embedding.scorer", (k, d), "normal")]
+    layer = {"ln1_gamma": ((d,), "ones"), "ln1_beta": ((d,), "zeros"),
+             "wq": ((d, d), "normal"), "bq": ((d,), "zeros"),
+             "wk": ((d, d), "normal"), "bk": ((d,), "zeros"),
+             "wv": ((d, d), "normal"), "bv": ((d,), "zeros"),
+             "wo": ((d, d), "normal"), "bo": ((d,), "zeros"),
+             "ln2_gamma": ((d,), "ones"), "ln2_beta": ((d,), "zeros"),
+             "w_ffn_in": ((d, f), "normal"), "b_ffn_in": ((f,), "zeros"),
+             "w_ffn_out": ((f, d), "normal"), "b_ffn_out": ((d,), "zeros")}
+    for i in range(config.layers):
+        specs += [(f"layers.{i}.{name}", *layer[name]) for name in _LAYER_FIELDS]
+    cutoffs = config.adaptive_cutoffs
+    n_tails = len(cutoffs) - 1
+    for i in range(n_tails):
+        d_i = max(1, d // (config.tail_reduction_factor ** (i + 1)))
+        specs += [(f"mlm.tails.{i}.down", (d, d_i), "normal"),
+                  (f"mlm.tails.{i}.out", (d_i, cutoffs[i + 1] - cutoffs[i]), "normal")]
+    head_width = cutoffs[0] + n_tails
+    specs += [("mlm.pre_norm_gamma", (d,), "ones"), ("mlm.pre_norm_beta", (d,), "zeros"),
+              ("mlm.head_projection", (d, head_width), "normal"),
+              ("mlm.head_bias", (head_width,), "gate"),
+              ("final_gamma", (d,), "ones"), ("final_beta", (d,), "zeros")]
+    return specs
+
+
+def _assemble(config: ModelConfig, params: dict[str, np.ndarray],
+              token_order: np.ndarray) -> EncoderModel:
+    """Wrap named parameter arrays in the model's containers."""
+    def p(name):
+        return Tensor(params[name], requires_grad=True)
+
+    n_tails = len(config.adaptive_cutoffs) - 1
+    return EncoderModel(
+        config=config,
+        embedding=MultiProjEmbedding(table=p("embedding.table"),
+                                     projections=p("embedding.projections"),
+                                     scorer=p("embedding.scorer")),
+        layers=[EncoderLayer(**{name: p(f"layers.{i}.{name}") for name in _LAYER_FIELDS})
+                for i in range(config.layers)],
+        final_gamma=p("final_gamma"),
+        final_beta=p("final_beta"),
+        alibi=alibi_slopes(config.heads),
+        mlm_head=AdaptiveSoftmaxHead(
+            pre_norm_gamma=p("mlm.pre_norm_gamma"),
+            pre_norm_beta=p("mlm.pre_norm_beta"),
+            head_projection=p("mlm.head_projection"),
+            head_bias=p("mlm.head_bias"),
+            tail_down=[p(f"mlm.tails.{i}.down") for i in range(n_tails)],
+            tail_out=[p(f"mlm.tails.{i}.out") for i in range(n_tails)],
+            token_order=token_order,
+        ),
+    )
+
+
 def build_model(config: ModelConfig, seed: int = 0,
                 token_counts: np.ndarray | None = None,
                 dtype=np.float32) -> EncoderModel:
     rng = np.random.default_rng(seed)
-    d = config.hidden
-    k = config.num_projections
-    scale = 0.02
-
-    def param(*shape):
-        return Tensor(rng.normal(0.0, scale, shape).astype(dtype), requires_grad=True)
-
-    def zeros_param(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones_param(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    projections = np.broadcast_to(np.eye(d, dtype=dtype), (k, d, d)).copy()
-    projections += rng.normal(0.0, scale, (k, d, d)).astype(dtype)
-    embedding = MultiProjEmbedding(
-        table=param(config.vocab_size, d),
-        projections=Tensor(projections, requires_grad=True),
-        scorer=param(k, d),
-    )
-
-    layers = []
-    for _ in range(config.layers):
-        layers.append(EncoderLayer(
-            ln1_gamma=ones_param(d), ln1_beta=zeros_param(d),
-            wq=param(d, d), bq=zeros_param(d),
-            wk=param(d, d), bk=zeros_param(d),
-            wv=param(d, d), bv=zeros_param(d),
-            wo=param(d, d), bo=zeros_param(d),
-            ln2_gamma=ones_param(d), ln2_beta=zeros_param(d),
-            w_ffn_in=param(d, config.ffn_dim), b_ffn_in=zeros_param(config.ffn_dim),
-            w_ffn_out=param(config.ffn_dim, d), b_ffn_out=zeros_param(d),
-        ))
-
     cutoffs = config.adaptive_cutoffs
-    n_tails = len(cutoffs) - 1
-    head_width = cutoffs[0] + n_tails
-    head_bias = np.zeros(head_width, dtype=dtype)
-    tail_down, tail_out = [], []
-    for i in range(n_tails):
-        cluster = cutoffs[i + 1] - cutoffs[i]
-        # gate bias log|cluster| makes an all-zero head exactly uniform over V
-        head_bias[cutoffs[0] + i] = math.log(cluster)
-        d_i = max(1, d // (config.tail_reduction_factor ** (i + 1)))
-        tail_down.append(param(d, d_i))
-        tail_out.append(param(d_i, cluster))
-
-    mlm_head = AdaptiveSoftmaxHead(
-        pre_norm_gamma=ones_param(d),
-        pre_norm_beta=zeros_param(d),
-        head_projection=param(d, head_width),
-        head_bias=Tensor(head_bias, requires_grad=True),
-        tail_down=tail_down,
-        tail_out=tail_out,
-        token_order=token_frequency_order(token_counts, config.vocab_size),
-    )
-
-    return EncoderModel(
-        config=config,
-        embedding=embedding,
-        layers=layers,
-        final_gamma=ones_param(d),
-        final_beta=zeros_param(d),
-        alibi=alibi_slopes(config.heads),
-        mlm_head=mlm_head,
-    )
+    params: dict[str, np.ndarray] = {}
+    for name, shape, init in _param_specs(config):
+        if init == "ones":
+            arr = np.ones(shape, dtype=dtype)
+        elif init == "zeros":
+            arr = np.zeros(shape, dtype=dtype)
+        elif init == "gate":
+            # gate bias log|cluster| makes an all-zero head exactly uniform over V
+            arr = np.zeros(shape, dtype=dtype)
+            for i in range(len(cutoffs) - 1):
+                arr[cutoffs[0] + i] = math.log(cutoffs[i + 1] - cutoffs[i])
+        else:
+            arr = rng.normal(0.0, 0.02, shape).astype(dtype)
+            if init == "identity":
+                arr += np.eye(shape[-1], dtype=dtype)
+        params[name] = arr
+    return _assemble(config, params,
+                     token_frequency_order(token_counts, config.vocab_size))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +357,7 @@ def embed_tokens(embedding: MultiProjEmbedding, ids) -> Tensor:
     return ad.sum_(combined, axis=0)                          # (S, d)
 
 
-def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: Tensor,
+def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: np.ndarray,
                pad_mask: np.ndarray | None, config: ModelConfig) -> Tensor:
     s, d = h.shape
     n = config.heads
@@ -351,12 +370,8 @@ def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: Tensor,
     key = heads_view(ad.add(ad.matmul(h, layer.wk), layer.bk))
     v = heads_view(ad.add(ad.matmul(h, layer.wv), layer.bv))
 
-    logits = ad.mul(ad.matmul(q, ad.transpose(key, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    logits = ad.add(logits, alibi_bias)
-    if pad_mask is not None and pad_mask.any():
-        logits = ad.masked_fill(logits, pad_mask[None, None, :], -1e9)
-    att = ad.softmax(logits, axis=-1)
-    ctx = ad.matmul(att, v)                                    # (n, S, dh)
+    ctx = ad.attention(q, key, v, alibi_bias, 1.0 / math.sqrt(dh),
+                       pad_mask)                               # (n, S, dh)
     merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (s, d))
     return ad.add(ad.matmul(merged, layer.wo), layer.bo)
 
@@ -377,8 +392,7 @@ def encoder_forward(model: EncoderModel, ids, attention_mask=None) -> Tensor:
     pad = mask == 0
     eps = model.config.layer_norm_eps
 
-    dtype_name = model.embedding.table.dtype.name
-    alibi = Tensor(_alibi_stack(model.alibi.slopes, ids.size, dtype_name))
+    alibi = _alibi_stack(model.alibi.slopes, ids.size, model.embedding.table.dtype)
 
     h = embed_tokens(model.embedding, ids)
     for layer in model.layers:
@@ -498,19 +512,15 @@ def load_model(directory: Path) -> tuple[EncoderModel, Vocabulary]:
 
     arrays = load_arrays(directory)
     token_order = arrays.pop("mlm.token_order").astype(np.int64)
-    model = build_model(config, seed=0, dtype=np.float32)
-    model.mlm_head.token_order = token_order
-    model.mlm_head.rank_of = np.argsort(token_order).astype(np.int64)
-    params = model.named_parameters()
-    missing = set(params) - set(arrays)
-    extra = set(arrays) - set(params)
+    shapes = {name: shape for name, shape, _ in _param_specs(config)}
+    missing = set(shapes) - set(arrays)
+    extra = set(arrays) - set(shapes)
     if missing or extra:
         raise ValueError(f"checkpoint mismatch: missing={sorted(missing)} "
                          f"extra={sorted(extra)}")
-    for name, param in params.items():
-        stored = arrays[name]
-        if stored.shape != param.data.shape:
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
             raise ValueError(f"shape mismatch for {name}: "
-                             f"{stored.shape} vs {param.data.shape}")
-        param.data = np.ascontiguousarray(stored.astype(param.data.dtype))
-    return model, vocab
+                             f"{arrays[name].shape} vs {shape}")
+    params = {name: arr.astype(np.float32, copy=False) for name, arr in arrays.items()}
+    return _assemble(config, params, token_order), vocab

@@ -273,3 +273,90 @@ def test_determinism():
     l2, g2 = run()
     assert l1 == l2
     assert np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("reduce", [ad.sum_, ad.mean], ids=["sum_", "mean"])
+def test_axis_reduction_of_1d_tensor_grad(reduce):
+    rng = np.random.default_rng(27)
+    x = rand64(rng, 4)
+    err = grad_check(lambda t: ad.sum_(ad.mul(reduce(ad.mul(t, t), axis=0), t)),
+                     x, h=1e-5)
+    assert err < 1e-6
+
+
+class TestScalarDtype:
+    def test_python_scalar_keeps_float32(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        for out in (ad.add(x, 0.5), ad.sub(x, 0.5), ad.mul(x, 0.5),
+                    ad.div(x, 3.0), ad.add(2, x), 1.0 - x, 0.5 * x, x / 4):
+            assert out.dtype == np.float32
+        backward(ad.sum_(ad.mul(x, 1.0 / 3.0)))
+        assert x.grad.dtype == np.float32
+
+    def test_python_scalar_keeps_float64(self):
+        x = t64([[1.0, 2.0]])
+        assert ad.mul(x, 0.5).dtype == np.float64
+        assert (1.0 - x).dtype == np.float64
+
+    def test_scalar_value_rounds_to_tensor_dtype(self):
+        x = Tensor(np.ones(3, dtype=np.float32))
+        assert np.array_equal(ad.mul(x, 0.1).data, x.data * np.float32(0.1))
+
+    def test_numpy_operands_still_promote(self):
+        x = Tensor(np.ones(3, dtype=np.float32))
+        assert ad.mul(x, np.float64(0.5)).dtype == np.float64
+        assert ad.add(x, np.ones(3)).dtype == np.float64
+
+
+def attention_chain(q, k, v, bias, scale, key_pad):
+    """The composed op chain that ad.attention fuses."""
+    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
+    logits = ad.add(logits, Tensor(bias))
+    if key_pad is not None:
+        logits = ad.masked_fill(logits, key_pad[None, None, :], -1e9)
+    return ad.matmul(ad.softmax(logits, axis=-1), v)
+
+
+def _attention_inputs(dtype, seq_len, padded, seed=28):
+    rng = np.random.default_rng(seed)
+    heads, dh = 3, 5
+
+    def leaf():
+        return Tensor(rng.standard_normal((heads, seq_len, dh)).astype(dtype),
+                      requires_grad=True)
+
+    q, k, v = leaf(), leaf(), leaf()
+    dist = np.abs(np.arange(seq_len)[:, None] - np.arange(seq_len)[None, :])
+    bias = (-np.array([0.5, 0.25, 0.125])[:, None, None] * dist).astype(dtype)
+    key_pad = (np.arange(seq_len) % 3 == 2) if padded else None
+    weights = rng.standard_normal((heads, seq_len, dh)).astype(dtype)
+    return q, k, v, bias, key_pad, weights
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seq_len,padded", [(1, False), (7, False), (7, True),
+                                            (37, False), (37, True)])
+def test_attention_is_bitwise_the_composed_chain(dtype, seq_len, padded):
+    scale = 1.0 / math.sqrt(5)
+    results = []
+    for op in (ad.attention, attention_chain):
+        q, k, v, bias, key_pad, weights = _attention_inputs(dtype, seq_len, padded)
+        out = op(q, k, v, bias, scale, key_pad)
+        backward(ad.sum_(ad.mul(out, weights)))
+        results.append((out.data, q.grad, k.grad, v.grad))
+    for fused, chain, name in zip(*results, ("out", "q", "k", "v")):
+        assert fused.dtype == np.dtype(dtype), name
+        assert np.array_equal(fused, chain), name
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+@pytest.mark.parametrize("padded", [False, True], ids=["no_pad", "pad"])
+def test_attention_grad_check(which, padded):
+    q, k, v, bias, key_pad, weights = _attention_inputs(np.float64, 6, padded)
+    inputs = [q, k, v]
+
+    def f(t):
+        args = inputs[:which] + [t] + inputs[which + 1:]
+        return ad.sum_(ad.mul(ad.attention(*args, bias, 0.4, key_pad), weights))
+
+    assert grad_check(f, inputs[which], h=1e-5) < 1e-6

@@ -5,9 +5,11 @@ import pytest
 
 from medeir import autodiff as ad
 from medeir.autodiff import Tensor, grad_check
+from medeir import model as model_module
 from medeir.model import (
     AlibiBias,
     ModelConfig,
+    _alibi_stack,
     adaptive_log_probs,
     alibi_bias_matrix,
     alibi_slopes,
@@ -23,6 +25,8 @@ from medeir.model import (
     token_frequency_order,
 )
 from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary
+from medeir.training import info_nce_loss
+from test_autodiff import attention_chain
 
 TOY = ModelConfig(vocab_size=40, hidden=32, layers=2, heads=4, ffn_dim=64,
                   num_projections=3, max_train_len=80, max_infer_len=256)
@@ -97,6 +101,24 @@ class TestAlibi:
         assert np.all(np.diag(m) == 0.0)
         assert m[0, 3] == pytest.approx(-0.75)
         assert np.array_equal(m, m.T)
+
+
+class TestAlibiStack:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seq_len", [1, 2, 7, 513])
+    @pytest.mark.parametrize("heads", range(1, 9))
+    def test_bitwise_equal_to_stacked_matrices(self, heads, seq_len, dtype):
+        slopes = alibi_slopes(heads).slopes
+        got = _alibi_stack(slopes, seq_len, dtype)
+        expect = np.stack([alibi_bias_matrix(seq_len, s).astype(dtype)
+                           for s in slopes])
+        assert got.dtype == np.dtype(dtype)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+    def test_zero_length_rejected(self):
+        with pytest.raises(ValueError):
+            _alibi_stack((0.5,), 0, np.float32)
 
 
 class TestEmbedTokens:
@@ -176,11 +198,58 @@ class TestEncoderForward:
             for dim in p.shape:
                 assert dim not in (TOY.max_train_len, TOY.max_infer_len), name
 
+    @pytest.mark.parametrize("padded", [False, True], ids=["no_pad", "pad"])
+    def test_fused_attention_matches_composed_chain(self, monkeypatch, padded):
+        """The model's forward and gradients are bitwise those it gets when
+        attention runs as the unfused chain of autodiff ops."""
+        rng = np.random.default_rng(12)
+        ids = rng.integers(0, TOY.vocab_size, 130)
+        mask = np.ones(130, dtype=np.int64)
+        if padded:
+            mask[-9:] = 0
+
+        def run():
+            m = toy_model(seed=4)
+            out = encoder_forward(m, ids, mask)
+            ad.backward(ad.sum_(ad.mul(out, out)))
+            return [out.data] + [p.grad for p in m.named_parameters().values()]
+
+        fused = run()
+        monkeypatch.setattr(ad, "attention", attention_chain)
+        composed = run()
+        for a, b in zip(fused, composed):
+            assert np.array_equal(a, b)
+
     def test_deterministic(self):
         ids = np.array([3, 1, 4, 1, 5])
         a = encoder_forward(toy_model(seed=5), ids).data
         b = encoder_forward(toy_model(seed=5), ids).data
         assert np.array_equal(a, b)
+
+
+class TestFloat32Model:
+    """A float32 model computes in float32 end to end."""
+
+    def test_encoder_forward_and_losses_stay_float32(self):
+        m = toy_model(seed=1)
+        ids = np.array([3, 8, 2, 9, 14])
+        mask = np.array([1, 1, 1, 1, 0])
+        assert encoder_forward(m, ids, mask).dtype == np.float32
+        assert mlm_loss(m, ids, [1, 3], ids, mask).dtype == np.float32
+        q = ad.stack([embed_sequence(m, ids[:3]), embed_sequence(m, ids[1:])])
+        p = ad.stack([embed_sequence(m, ids[2:]), embed_sequence(m, ids[:4])])
+        assert q.dtype == np.float32
+        assert info_nce_loss(q, p, temperature=0.05).dtype == np.float32
+
+    def test_embed_text_is_float32(self, setup):
+        model, tok = setup
+        assert embed_text(model, tok, "abc def").dtype == np.float32
+
+    def test_float64_model_stays_float64(self):
+        m = toy_model(seed=1, dtype=np.float64)
+        ids = np.array([3, 8, 2])
+        assert encoder_forward(m, ids).dtype == np.float64
+        assert mlm_loss(m, ids, [1], ids).dtype == np.float64
 
 
 class TestMeanPool:
@@ -359,6 +428,36 @@ class TestSaveLoad:
         a = encoder_forward(model, ids).data
         b = encoder_forward(loaded, ids).data
         assert np.array_equal(a, b)
+
+    def test_load_draws_no_random_initialisation(self, tmp_path, monkeypatch):
+        vocab = self._vocab()
+        cfg = ModelConfig(vocab_size=len(vocab), hidden=16, layers=1, heads=2,
+                          ffn_dim=24, max_train_len=32, max_infer_len=64)
+        model = build_model(cfg, seed=3)
+        save_model(tmp_path / "ckpt", model, vocab)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(model_module, "build_model", no_rng)
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded, _ = load_model(tmp_path / "ckpt")
+        for name, p in loaded.named_parameters().items():
+            assert p.requires_grad and p.dtype == np.float32, name
+            assert np.array_equal(p.data, model.named_parameters()[name].data), name
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        import json
+        vocab = self._vocab()
+        cfg = ModelConfig(vocab_size=len(vocab), hidden=16, layers=1, heads=2,
+                          ffn_dim=24, max_train_len=32, max_infer_len=64)
+        save_model(tmp_path / "ckpt", build_model(cfg, seed=0), vocab)
+        cfg_path = tmp_path / "ckpt" / "config.json"
+        blob = json.loads(cfg_path.read_text())
+        blob["ffn_dim"] = 32
+        cfg_path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            load_model(tmp_path / "ckpt")
 
     def test_vocab_tamper_detected(self, tmp_path):
         vocab = self._vocab()
