@@ -17,8 +17,6 @@ Design notes:
   - broadcasting is supported for leading batch dimensions (gradients are
     reduced back to the parent shape); anything fancier should be written
     with explicit reshape.
-  - an optional emulation flag truncates matmul inputs to
-    bfloat16-representable values while keeping fp32 accumulation.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 __all__ = [
     "Tensor", "ComputationTape", "tensor", "zeros", "ones", "randn",
     "set_default_dtype", "get_default_dtype", "default_dtype", "no_grad",
-    "set_matmul_bfloat16", "matmul", "add", "sub", "mul", "neg", "div",
+    "matmul", "add", "sub", "mul", "neg", "div",
     "transpose", "reshape", "concat", "stack", "narrow", "index_select", "pick",
     "softmax", "log_softmax", "layer_norm", "gelu", "tanh", "mean", "sum_",
     "masked_fill", "attention", "cross_entropy", "l2_normalize", "backward",
@@ -42,7 +40,6 @@ __all__ = [
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
-_MATMUL_BFLOAT16 = False
 
 
 def set_default_dtype(dtype) -> None:
@@ -77,18 +74,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = saved
-
-
-def set_matmul_bfloat16(enabled: bool) -> None:
-    """Emulate reduced-precision matmul by truncating inputs to bfloat16."""
-    global _MATMUL_BFLOAT16
-    _MATMUL_BFLOAT16 = bool(enabled)
-
-
-def _truncate_bfloat16(x: np.ndarray) -> np.ndarray:
-    x32 = np.ascontiguousarray(x, dtype=np.float32)
-    bits = x32.view(np.uint32)
-    return (bits & np.uint32(0xFFFF0000)).view(np.float32)
 
 
 class Tensor:
@@ -173,9 +158,6 @@ class Tensor:
 
     def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
         return transpose(self, axes)
-
-    def slice(self, axis: int, start: int, end: int) -> "Tensor":
-        return narrow(self, axis, start, end)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -388,10 +370,7 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul requires ndim >= 2, got {a.ndim} and {b.ndim}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    lhs, rhs = a.data, b.data
-    if _MATMUL_BFLOAT16 and lhs.dtype == np.float32:
-        lhs, rhs = _truncate_bfloat16(lhs), _truncate_bfloat16(rhs)
-    out_data = np.matmul(lhs, rhs)
+    out_data = np.matmul(a.data, b.data)
 
     def bw(out):
         if a.requires_grad:
@@ -535,8 +514,9 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure(a)
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
     kept = _keepdims_shape(a.data.shape, axis)
+    # the reduced axes are those kept at 1; an axis of size 1 counts 1 either way
+    count = math.prod(n for n, k in zip(a.data.shape, kept) if n != k)
 
     def bw(out):
         if a.requires_grad:

@@ -5,16 +5,25 @@ A checkpoint is a directory:
     params.bin      concatenation of the tensors' bytes in manifest order
 
 Model-level saves add sidecar files (config.json, vocab.txt) on top; those
-live with the model code. All writes go through a temp file and an atomic
-rename so a crash never leaves a half-written artifact behind.
+live with the model code.
+
+This module also holds the package's file I/O. Every file the package
+writes goes through atomic_write_bytes: the bytes go to a uniquely named
+temp file in the target's directory, which is fsynced and then renamed over
+the target, and removed again if anything fails, so a crash never leaves a
+half-written artifact behind. JSON-lines files are written by write_jsonl
+and read by read_jsonl.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,22 +38,65 @@ _DTYPES = {
 _CANONICAL = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Replace path with data in one step, creating its directory if needed.
+
+    The file gets the mode a plain open() would give it. On any failure the
+    temp file is removed and the target keeps its old bytes.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates it 0600
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    """One json.dumps(row, ensure_ascii=False) per line, written atomically."""
+    atomic_write_text(path, "".join(json.dumps(row, ensure_ascii=False) + "\n"
+                                    for row in rows))
+
+
+def read_jsonl(path: Path) -> Iterator[dict]:
+    """Yield the JSON object on each non-blank line of a UTF-8 file.
+
+    A line that is not UTF-8 or does not hold a JSON object raises
+    ValueError naming path:line.
+    """
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: invalid JSON line: {err}") from err
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{line_no}: expected a JSON object, "
+                                 f"got {type(row).__name__}")
+            yield row
+
+
 def save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays as manifest.json + params.bin under directory."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     blob = bytearray()
     for name, arr in arrays.items():

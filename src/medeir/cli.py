@@ -10,14 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .checkpoint import atomic_write_text, checkpoint_hash
+from .checkpoint import atomic_write_text, checkpoint_hash, read_jsonl, write_jsonl
 from .datapipe import (
     clean_document,
     dedup_corpus,
@@ -39,7 +36,7 @@ from .evaluation import (
     render_table,
     save_report,
 )
-from .model import EncoderModel, ModelConfig, embed_text, load_model
+from .model import EncoderModel, embed_text, load_model
 from .tokenizer import (
     TokenizerModel,
     Vocabulary,
@@ -48,9 +45,7 @@ from .tokenizer import (
     tokenizer_compare,
     train_wordpiece,
 )
-from .training import STAGES, PairSource, StageConfig, run_stage
-
-RUN_CONFIG_VERSION = 1
+from .training import PairSource, StageConfig, run_stage
 
 _STAGE_BY_COMMAND = {"mlm": "mlm", "contrastive": "contrastive",
                      "hardneg": "hard_negative"}
@@ -68,89 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# run configuration
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Declarative description of a full pipeline run."""
-
-    seed: int
-    model: ModelConfig
-    stages: dict[str, StageConfig] = field(default_factory=dict)
-    paths: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": RUN_CONFIG_VERSION,
-            "seed": self.seed,
-            "model": self.model.to_dict(),
-            "stages": {name: cfg.to_dict() for name, cfg in self.stages.items()},
-            "paths": dict(self.paths),
-        }
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "RunConfig":
-        blob = dict(blob)
-        if blob.pop("version", None) != RUN_CONFIG_VERSION:
-            raise ValueError("run config must declare "
-                             f"\"version\": {RUN_CONFIG_VERSION}")
-        unknown = set(blob) - {"seed", "model", "stages", "paths"}
-        if unknown:
-            raise ValueError(f"unknown run config keys: {sorted(unknown)}")
-        if "model" not in blob:
-            raise ValueError("run config requires a model section")
-        try:
-            model = ModelConfig.from_dict(blob["model"])
-        except TypeError as err:
-            raise ValueError(f"invalid model config: {err}") from err
-        stages = {}
-        for name, stage_blob in blob.get("stages", {}).items():
-            if name not in STAGES:
-                raise ValueError(f"unknown stage {name!r}; expected one of {STAGES}")
-            stage_blob = dict(stage_blob)
-            stage_blob.setdefault("stage", name)
-            if stage_blob["stage"] != name:
-                raise ValueError(f"stage section {name!r} declares "
-                                 f"stage={stage_blob['stage']!r}")
-            try:
-                stages[name] = StageConfig.from_dict(stage_blob)
-            except TypeError as err:
-                raise ValueError(f"invalid {name} stage config: {err}") from err
-        paths = {str(k): str(v) for k, v in blob.get("paths", {}).items()}
-        return cls(seed=int(blob.get("seed", 0)), model=model, stages=stages,
-                   paths=paths)
-
-
-def load_run_config(path: Path, check_paths: bool = True) -> RunConfig:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        config = RunConfig.from_dict(json.load(fh))
-    if check_paths:
-        for key, value in config.paths.items():
-            target = Path(value)
-            if not target.is_absolute():
-                target = path.parent / target
-            if not target.exists():
-                raise ValueError(f"run config path {key!r} does not exist: {target}")
-    return config
-
-
-# ---------------------------------------------------------------------------
 # shared helpers
-
-def _atomic_jsonl(writer: Callable, path: Path, payload) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
-    try:
-        writer(Path(tmp), payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def _load_checkpoint(path: str) -> tuple[EncoderModel, TokenizerModel]:
     directory = Path(path)
@@ -186,7 +99,7 @@ def _cmd_tokenizer_train(args) -> None:
     docs = read_documents(Path(args.corpus))
     vocab = train_wordpiece((d.text for d in docs), target_size=args.size,
                             min_frequency=args.min_freq)
-    atomic_write_text(Path(args.out), "\n".join(vocab.tokens) + "\n")
+    vocab.save(Path(args.out))
     print(f"trained vocabulary of {len(vocab)} tokens -> {args.out}")
 
 
@@ -194,7 +107,7 @@ def _cmd_tokenizer_merge(args) -> None:
     base = Vocabulary.load(Path(args.base))
     domain = Vocabulary.load(Path(args.domain))
     merged = merge_vocabularies(base, domain)
-    atomic_write_text(Path(args.out), "\n".join(merged.tokens) + "\n")
+    merged.save(Path(args.out))
     print(f"merged {len(base)} + {len(domain)} -> {len(merged)} tokens")
 
 
@@ -219,7 +132,7 @@ def _cmd_data_clean(args) -> None:
     cleaned = [dataclasses.replace(d, text=clean_document(d.text)) for d in docs]
     cleaned = [d for d in cleaned if d.text]
     kept = dedup_corpus(cleaned)
-    _atomic_jsonl(write_documents, Path(args.out), kept)
+    write_documents(Path(args.out), kept)
     print(f"kept {len(kept)} of {len(docs)} documents -> {args.out}")
 
 
@@ -228,8 +141,7 @@ def _cmd_data_pack(args) -> None:
     tokenizer = TokenizerModel(Vocabulary.load(Path(args.vocab)))
     chunks = pack_chunks(docs, tokenizer, chunk_len=args.chunk_len,
                          min_tail=args.min_tail)
-    content = "".join(json.dumps({"ids": chunk}) + "\n" for chunk in chunks)
-    atomic_write_text(Path(args.out), content)
+    write_jsonl(Path(args.out), ({"ids": chunk} for chunk in chunks))
     print(f"packed {len(docs)} documents into {len(chunks)} chunks -> {args.out}")
 
 
@@ -239,7 +151,7 @@ def _cmd_data_filter(args) -> None:
     kept = filter_pairs_by_similarity(pairs, _embedder(model, tokenizer),
                                       threshold=args.threshold,
                                       drop_fraction=args.drop_fraction)
-    _atomic_jsonl(write_pairs, Path(args.out), kept)
+    write_pairs(Path(args.out), kept)
     print(f"kept {len(kept)} of {len(pairs)} pairs -> {args.out}")
 
 
@@ -250,7 +162,7 @@ def _cmd_data_mine(args) -> None:
     records = mine_hard_negatives(pairs, corpus, _embedder(model, tokenizer),
                                   per_query=args.per_query,
                                   band=(args.band_lo, args.band_hi))
-    _atomic_jsonl(write_hard_negatives, Path(args.out), records)
+    write_hard_negatives(Path(args.out), records)
     flagged = sum(1 for r in records if r.flagged)
     print(f"mined {len(records)} records ({flagged} flagged) -> {args.out}")
 
@@ -260,14 +172,7 @@ def _cmd_data_mine(args) -> None:
 
 def _load_stage_data(stage: str, path: Path, vocab: Vocabulary):
     if stage == "mlm":
-        sequences = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                sequences.append(sequence_from_ids(vocab, json.loads(line)["ids"]))
-        return sequences
+        return [sequence_from_ids(vocab, blob["ids"]) for blob in read_jsonl(path)]
     grouped: dict[str, list] = {}
     if stage == "contrastive":
         for pair in read_pairs(path):
@@ -340,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="medeir",
                      description="Domain-adapted tokenizer, encoder training, "
                                  "and retrieval evaluation toolkit.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker threads (current paths are serial)")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force serial, bit-reproducible execution "
-                             "(already the default behavior)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     tok = sub.add_parser("tokenizer", help="train, merge, and compare vocabularies")
@@ -439,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _execute(args) -> int:
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise UserError("--threads must be >= 1")
         args.func(args)
         return 0
     except UserError as err:

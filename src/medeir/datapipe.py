@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .checkpoint import read_jsonl, write_jsonl
 from .tokenizer import SEP_TOKEN, TokenizerModel
 
 Embedder = Callable[[str], np.ndarray]
@@ -105,7 +105,13 @@ def pack_chunks(docs: Sequence[CorpusDocument], tokenizer: TokenizerModel,
                 chunk_len: int = 512, min_tail: int = 16) -> list[list[int]]:
     """Concatenate document tokens with [SEP] between docs and slice into
     chunks of exactly chunk_len ids; the final remainder is kept only when
-    it reaches min_tail."""
+    it reaches min_tail.
+
+    The [SEP] goes in front of a document only when the buffer holds ids
+    already: a document that ends exactly on a chunk boundary leaves an
+    empty buffer, so the next chunk starts with the next document's first
+    id and no [SEP] separates the two.
+    """
     if chunk_len < min_tail:
         raise ValueError("chunk_len must be >= min_tail")
     sep_id = tokenizer.vocab.id_of[SEP_TOKEN]
@@ -205,77 +211,47 @@ def mine_hard_negatives(pairs: Sequence[SentencePair],
 def read_documents(path: Path) -> list[CorpusDocument]:
     docs = []
     ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            blob = json.loads(line)
-            doc = CorpusDocument(id=str(blob["id"]), text=blob["text"],
-                                 source=blob.get("source", ""))
-            if doc.id in ids:
-                raise ValueError(f"duplicate document id {doc.id!r} "
-                                 f"at {path}:{line_no}")
-            ids.add(doc.id)
-            docs.append(doc)
+    for blob in read_jsonl(path):
+        doc = CorpusDocument(id=str(blob["id"]), text=blob["text"],
+                             source=blob.get("source", ""))
+        if doc.id in ids:
+            raise ValueError(f"duplicate document id {doc.id!r} in {path}")
+        ids.add(doc.id)
+        docs.append(doc)
     return docs
 
 
 def write_documents(path: Path, docs: Iterable[CorpusDocument]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            blob = {"id": doc.id, "text": doc.text}
-            if doc.source:
-                blob["source"] = doc.source
-            fh.write(json.dumps(blob, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"id": d.id, "text": d.text}
+                       | ({"source": d.source} if d.source else {})
+                       for d in docs))
 
 
 def read_pairs(path: Path) -> list[SentencePair]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            blob = json.loads(line)
-            pairs.append(SentencePair(query=blob["query"],
-                                      positive=blob["positive"],
-                                      source_id=blob.get("source_id", ""),
-                                      similarity=blob.get("similarity")))
-    return pairs
+    return [SentencePair(query=blob["query"], positive=blob["positive"],
+                         source_id=blob.get("source_id", ""),
+                         similarity=blob.get("similarity"))
+            for blob in read_jsonl(path)]
 
 
 def write_pairs(path: Path, pairs: Iterable[SentencePair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            blob = {"query": pair.query, "positive": pair.positive,
-                    "source_id": pair.source_id}
-            if pair.similarity is not None:
-                blob["similarity"] = pair.similarity
-            fh.write(json.dumps(blob, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"query": p.query, "positive": p.positive,
+                        "source_id": p.source_id}
+                       | ({} if p.similarity is None
+                          else {"similarity": p.similarity})
+                       for p in pairs))
 
 
 def read_hard_negatives(path: Path) -> list[HardNegativeRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            blob = json.loads(line)
-            records.append(HardNegativeRecord(
-                query=blob["query"], positive=blob["positive"],
-                negatives=tuple(blob["negatives"]),
-                source_id=blob.get("source_id", ""),
-                flagged=blob.get("flagged", False)))
-    return records
+    return [HardNegativeRecord(query=blob["query"], positive=blob["positive"],
+                               negatives=tuple(blob["negatives"]),
+                               source_id=blob.get("source_id", ""),
+                               flagged=blob.get("flagged", False))
+            for blob in read_jsonl(path)]
 
 
 def write_hard_negatives(path: Path, records: Iterable[HardNegativeRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            blob = {"query": rec.query, "positive": rec.positive,
-                    "negatives": list(rec.negatives), "source_id": rec.source_id}
-            if rec.flagged:
-                blob["flagged"] = True
-            fh.write(json.dumps(blob, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"query": r.query, "positive": r.positive,
+                        "negatives": list(r.negatives), "source_id": r.source_id}
+                       | ({"flagged": True} if r.flagged else {})
+                       for r in records))

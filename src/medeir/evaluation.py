@@ -11,17 +11,18 @@ them.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
+from .checkpoint import (atomic_write_bytes, atomic_write_text, read_jsonl,
+                         write_jsonl)
 from .model import EncoderModel, embed_text
 from .tokenizer import TokenizerModel
 
@@ -108,16 +109,9 @@ def _embed_corpus(mut: ModelUnderTest, corpus: Mapping[str, str],
     matrix = np.stack([embed_text(mut.model, mut.tokenizer, corpus[did])
                        for did in doc_ids])
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, ids=np.array(doc_ids), embeddings=matrix)
-            os.replace(tmp, cache_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        buffer = io.BytesIO()
+        np.savez(buffer, ids=np.array(doc_ids), embeddings=matrix)
+        atomic_write_bytes(cache_path, buffer.getvalue())
     return doc_ids, matrix
 
 
@@ -318,47 +312,31 @@ def load_dataset(directory: Path, name: str | None = None) -> RetrievalDataset:
     queries = _read_id_text(directory / "queries.jsonl")
     corpus = _read_id_text(directory / "corpus.jsonl")
     qrels: dict[str, dict[str, int]] = {}
-    with open(directory / "qrels.jsonl", "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            blob = json.loads(line)
-            qrels.setdefault(str(blob["qid"]), {})[str(blob["did"])] = int(blob["rel"])
+    for blob in read_jsonl(directory / "qrels.jsonl"):
+        qrels.setdefault(str(blob["qid"]), {})[str(blob["did"])] = int(blob["rel"])
     return RetrievalDataset(name=name or directory.name, queries=queries,
                             corpus=corpus, qrels=qrels)
 
 
 def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     _write_id_text(directory / "queries.jsonl", dataset.queries)
     _write_id_text(directory / "corpus.jsonl", dataset.corpus)
-    lines = []
-    for qid in sorted(dataset.qrels):
-        for did in sorted(dataset.qrels[qid]):
-            lines.append(json.dumps({"qid": qid, "did": did,
-                                     "rel": dataset.qrels[qid][did]}))
-    atomic_write_text(directory / "qrels.jsonl",
-                      "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(directory / "qrels.jsonl",
+                ({"qid": qid, "did": did, "rel": dataset.qrels[qid][did]}
+                 for qid in sorted(dataset.qrels)
+                 for did in sorted(dataset.qrels[qid])))
 
 
 def _read_id_text(path: Path) -> dict[str, str]:
     table: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            blob = json.loads(line)
-            key = str(blob["id"])
-            if key in table:
-                raise ValueError(f"duplicate id {key!r} in {path}")
-            table[key] = blob["text"]
+    for blob in read_jsonl(path):
+        key = str(blob["id"])
+        if key in table:
+            raise ValueError(f"duplicate id {key!r} in {path}")
+        table[key] = blob["text"]
     return table
 
 
 def _write_id_text(path: Path, table: Mapping[str, str]) -> None:
-    lines = [json.dumps({"id": key, "text": table[key]}, ensure_ascii=False)
-             for key in sorted(table)]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(path, ({"id": key, "text": table[key]} for key in sorted(table)))

@@ -9,9 +9,9 @@ in the wheel.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
+from .checkpoint import read_jsonl
 from .tokenizer import TokenizerModel, Vocabulary
 
 _VOCAB_FILES = {
@@ -39,13 +39,8 @@ def fixture_tokenizer(kind: str) -> TokenizerModel:
 
 def load_mini_corpus() -> list[dict]:
     """Return the bundled abstracts as a list of {"id", "text"} dicts."""
-    docs = []
-    with _asset("mini_medical_abstracts.jsonl").open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                docs.append(json.loads(line))
-    return docs
+    with resources.as_file(_asset("mini_medical_abstracts.jsonl")) as path:
+        return list(read_jsonl(path))
 
 
 def mini_corpus_texts() -> list[str]:

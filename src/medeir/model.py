@@ -483,7 +483,6 @@ def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
 
 def save_model(directory: Path, model: EncoderModel, vocab: Vocabulary) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     arrays = {name: p.data for name, p in model.named_parameters().items()}
     arrays["mlm.token_order"] = model.mlm_head.token_order
     save_arrays(directory, arrays)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import atomic_write_text
 from .datapipe import CorpusDocument, SentencePair, write_documents, write_pairs
 from .evaluation import RetrievalDataset, save_dataset
 from .fixtures import load_mini_corpus
@@ -191,7 +192,7 @@ def run_smoke_pipeline(out_dir: Path, seed: int = 0, mlm_steps: int = 50,
     save_model(init, build_model(config, seed=seed), vocab)
 
     mlm_cfg = out / "mlm.json"
-    mlm_cfg.write_text(json.dumps({
+    atomic_write_text(mlm_cfg, json.dumps({
         "stage": "mlm", "total_steps": mlm_steps, "peak_lr": 2e-4,
         "beta1": 0.9, "beta2": 0.98, "global_batch": 2, "grad_accum": 2,
         "warmup_fraction": 0.10, "max_len": 48, "mask_rate": 0.30,
@@ -235,7 +236,7 @@ def run_smoke_pipeline(out_dir: Path, seed: int = 0, mlm_steps: int = 50,
         name="smoke-heldout", queries=queries, corpus=corpus, qrels=qrels))
 
     con_cfg = out / "contrastive.json"
-    con_cfg.write_text(json.dumps({
+    atomic_write_text(con_cfg, json.dumps({
         "stage": "contrastive", "total_steps": contrastive_steps,
         "peak_lr": 5e-5, "beta1": 0.95, "beta2": 0.98, "global_batch": 4,
         "grad_accum": 1, "warmup_fraction": 0.06, "max_len": 48,

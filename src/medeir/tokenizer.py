@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .checkpoint import atomic_write_text
+
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 CONTINUATION_PREFIX = "##"
 
@@ -100,7 +102,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         """Write one token per line; the line number is the id."""
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        atomic_write_text(Path(path), "\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(

@@ -9,7 +9,6 @@ a model and writes a JSON-lines loss log plus a final checkpoint.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
+from .checkpoint import write_jsonl
 from .model import EncoderModel, embed_sequence, mlm_loss, save_model
 from .tokenizer import MASK_TOKEN, EncodedSequence, TokenizerModel
 
@@ -181,7 +181,13 @@ def info_nce_loss(q_embs: Tensor, p_embs: Tensor, temperature: float = 0.05,
 
 def hard_negative_loss(q_embs: Tensor, p_embs: Tensor,
                        neg_embs: Tensor | None, temperature: float = 0.05) -> Tensor:
-    """InfoNCE with each item's own hard negatives added to the denominator."""
+    """InfoNCE with each item's own hard negatives added to the denominator.
+
+    neg_embs is (B, H, d). An item with fewer than H negatives fills its
+    remaining rows with zeros; embeddings are unit vectors, so a zero row is
+    never a real negative, and its logit is masked out of the item's
+    denominator.
+    """
     if neg_embs is None or neg_embs.shape[1] == 0:
         return info_nce_loss(q_embs, p_embs, temperature)
     if neg_embs.ndim != 3 or neg_embs.shape[0] != q_embs.shape[0] \
@@ -194,6 +200,11 @@ def hard_negative_loss(q_embs: Tensor, p_embs: Tensor,
     own = ad.matmul(neg_embs, ad.reshape(q_embs, (batch, dim, 1)))    # (B, H, 1)
     own = ad.reshape(own, (batch, neg_embs.shape[1]))
     logits = ad.mul(ad.concat([sims, own], axis=1), 1.0 / temperature)
+    padded = ~neg_embs.data.any(axis=2)                               # (B, H)
+    if padded.any():
+        in_batch = np.zeros((batch, batch), dtype=bool)
+        logits = ad.masked_fill(logits, np.concatenate([in_batch, padded], axis=1),
+                                -1e9)
     return ad.cross_entropy(logits, np.arange(batch))
 
 
@@ -367,6 +378,30 @@ def _encode_batch(model: EncoderModel, tokenizer: TokenizerModel,
     return ad.stack(embs, axis=0), tokens
 
 
+def _encode_negatives(model: EncoderModel, tokenizer: TokenizerModel,
+                      negatives: Sequence[Sequence[str]], max_len: int,
+                      like: Tensor) -> tuple[Tensor, int]:
+    """(B, H, d) embeddings of each item's negatives, H the largest count.
+
+    An item with fewer than H negatives is padded with zero rows (of like's
+    width and dtype), which hard_negative_loss masks out.
+    """
+    width = max(len(negs) for negs in negatives)
+    per_item = []
+    tokens = 0
+    for negs in negatives:
+        rows = []
+        if negs:
+            embs, n_tokens = _encode_batch(model, tokenizer, negs, max_len)
+            tokens += n_tokens
+            rows.append(embs)
+        if len(negs) < width:
+            rows.append(Tensor(np.zeros((width - len(negs), like.shape[1]),
+                                        dtype=like.dtype)))
+        per_item.append(ad.concat(rows, axis=0) if len(rows) > 1 else rows[0])
+    return ad.stack(per_item, axis=0), tokens
+
+
 def _mlm_micro_loss(model: EncoderModel, batch: list[EncodedSequence],
                     mask_rate: float, mask_id: int,
                     rng: np.random.Generator) -> tuple[Tensor, int]:
@@ -448,13 +483,10 @@ def run_stage(config: StageConfig, model: EncoderModel,
                 else:
                     neg_embs = None
                     if any(batch.negatives):
-                        per_item = []
-                        for negs in batch.negatives:
-                            embs, n_tokens = _encode_batch(model, tokenizer,
-                                                           negs, config.max_len)
-                            tokens += n_tokens
-                            per_item.append(embs)
-                        neg_embs = ad.stack(per_item, axis=0)
+                        neg_embs, n_tokens = _encode_negatives(
+                            model, tokenizer, batch.negatives, config.max_len,
+                            like=q_embs)
+                        tokens += n_tokens
                     loss = hard_negative_loss(q_embs, p_embs, neg_embs,
                                               config.temperature)
             scaled = ad.mul(loss, 1.0 / config.grad_accum)
@@ -474,11 +506,7 @@ def run_stage(config: StageConfig, model: EncoderModel,
                         "loss": step_loss, "tokens_seen": tokens_seen})
 
     if log_path is not None:
-        log_path = Path(log_path)
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
+        write_jsonl(Path(log_path), records)
     if out_dir is not None:
         save_model(Path(out_dir), model, tokenizer.vocab)
     return records

@@ -243,22 +243,6 @@ def test_broadcast_add_grad():
     assert err < 1e-6
 
 
-def test_bfloat16_emulation_changes_matmul_but_not_grads_dtype():
-    rng = np.random.default_rng(25)
-    a = Tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
-    b = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
-    exact = ad.matmul(a, b).data.copy()
-    ad.set_matmul_bfloat16(True)
-    try:
-        approx = ad.matmul(a, b)
-        backward(ad.sum_(approx))
-    finally:
-        ad.set_matmul_bfloat16(False)
-    assert not np.array_equal(exact, approx.data)
-    assert np.allclose(exact, approx.data, rtol=0.05, atol=0.05)
-    assert a.grad.dtype == np.float32
-
-
 def test_determinism():
     rng = np.random.default_rng(26)
     data = rng.standard_normal((4, 4))
@@ -280,6 +264,18 @@ def test_axis_reduction_of_1d_tensor_grad(reduce):
     rng = np.random.default_rng(27)
     x = rand64(rng, 4)
     err = grad_check(lambda t: ad.sum_(ad.mul(reduce(ad.mul(t, t), axis=0), t)),
+                     x, h=1e-5)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("axis", [(0, 1), (0, 2)], ids=["axes01", "axes02"])
+def test_mean_over_tuple_axis(axis):
+    rng = np.random.default_rng(28)
+    x = rand64(rng, 2, 3, 4)
+    out = ad.mean(x, axis=axis)
+    assert np.array_equal(out.data, x.data.mean(axis=axis))
+    err = grad_check(lambda t: ad.sum_(ad.mul(ad.mean(ad.mul(t, t), axis=axis),
+                                              ad.mean(t, axis=axis))),
                      x, h=1e-5)
     assert err < 1e-6
 

@@ -1,0 +1,149 @@
+"""The package's file I/O: the atomic writer, the JSON-lines helpers, and
+the exact bytes of every pipeline file written through them."""
+
+import os
+
+import pytest
+
+from medeir import checkpoint
+from medeir.checkpoint import atomic_write_bytes, read_jsonl, write_jsonl
+from medeir.cli import dispatch
+from medeir.datapipe import (
+    CorpusDocument,
+    HardNegativeRecord,
+    SentencePair,
+    write_documents,
+    write_hard_negatives,
+    write_pairs,
+)
+from medeir.tokenizer import SPECIAL_TOKENS, Vocabulary
+
+
+class TestAtomicWrite:
+    def test_writes_and_replaces(self, tmp_path):
+        target = tmp_path / "sub" / "out.bin"
+        atomic_write_bytes(target, b"first")
+        atomic_write_bytes(target, b"second")
+        assert target.read_bytes() == b"second"
+        assert os.listdir(target.parent) == ["out.bin"]
+
+    def test_mode_matches_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(b"x")
+        write_documents(tmp_path / "docs.jsonl", [])
+        assert (tmp_path / "docs.jsonl").stat().st_mode == plain.stat().st_mode
+
+    def test_failed_write_keeps_old_bytes_and_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.jsonl"
+        target.write_bytes(b"old\n")
+
+        def broken_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_bytes(target, b"new contents\n")
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_rows_that_raise_mid_write_keep_old_bytes(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_bytes(b"old\n")
+
+        def rows():
+            yield {"a": 1}
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_jsonl(target, rows())
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_stale_tmp_directory_does_not_block(self, tmp_path):
+        target = tmp_path / "vocab.txt"
+        (tmp_path / "vocab.txt.tmp").mkdir()
+        atomic_write_bytes(target, b"[PAD]\n")
+        assert target.read_bytes() == b"[PAD]\n"
+        assert sorted(os.listdir(tmp_path)) == ["vocab.txt", "vocab.txt.tmp"]
+
+
+class TestReadJsonl:
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
+        assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]
+
+    @pytest.mark.parametrize("bad", [b"{not json", b"[1, 2]", b'{"a": "\xff"}'])
+    def test_bad_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n' + bad + b"\n")
+        with pytest.raises(ValueError, match="rows.jsonl:3"):
+            list(read_jsonl(path))
+
+
+class TestGoldenBytes:
+    def test_documents(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        write_documents(path, [
+            CorpusDocument(id="d1", text="Hämoglobin\nß-Blocker", source="pubmed"),
+            CorpusDocument(id="d2", text='say "hi"'),
+        ])
+        assert path.read_bytes() == (
+            '{"id": "d1", "text": "Hämoglobin\\nß-Blocker", "source": "pubmed"}\n'
+            '{"id": "d2", "text": "say \\"hi\\""}\n').encode("utf-8")
+
+    def test_pairs(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(path, [
+            SentencePair(query="café", positive="naïve", source_id="s",
+                         similarity=0.25),
+            SentencePair(query="q", positive="p"),
+        ])
+        assert path.read_bytes() == (
+            '{"query": "café", "positive": "naïve", "source_id": "s", '
+            '"similarity": 0.25}\n'
+            '{"query": "q", "positive": "p", "source_id": ""}\n').encode("utf-8")
+
+    def test_hard_negatives(self, tmp_path):
+        path = tmp_path / "hn.jsonl"
+        write_hard_negatives(path, [
+            HardNegativeRecord(query="q", positive="p", negatives=("n1", "µ"),
+                               source_id="s"),
+            HardNegativeRecord(query="q2", positive="p2", negatives=(),
+                               flagged=True),
+        ])
+        assert path.read_bytes() == (
+            '{"query": "q", "positive": "p", "negatives": ["n1", "µ"], '
+            '"source_id": "s"}\n'
+            '{"query": "q2", "positive": "p2", "negatives": [], "source_id": "", '
+            '"flagged": true}\n').encode("utf-8")
+
+    @pytest.mark.parametrize("writer", [write_documents, write_pairs,
+                                        write_hard_negatives])
+    def test_empty_list_writes_empty_file(self, tmp_path, writer):
+        path = tmp_path / "empty.jsonl"
+        writer(path, [])
+        assert path.read_bytes() == b""
+
+    def test_packed_chunk_lines(self, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        Vocabulary(list(SPECIAL_TOKENS) + ["alpha", "beta"]).save(vocab)
+        corpus = tmp_path / "corpus.jsonl"
+        write_documents(corpus, [CorpusDocument(id="a", text="alpha beta alpha"),
+                                 CorpusDocument(id="b", text="beta alpha"),
+                                 CorpusDocument(id="c", text="beta")])
+        out = tmp_path / "chunks.jsonl"
+        assert dispatch(["data", "pack", "--in", str(corpus), "--vocab", str(vocab),
+                         "--out", str(out), "--chunk-len", "3",
+                         "--min-tail", "2"]) == 0
+        # [SEP] is id 3, "alpha" 5, "beta" 6. The first chunk ends exactly
+        # where doc "a" does, so no [SEP] precedes doc "b"; one precedes
+        # doc "c", whose 1-id tail is shorter than min_tail and dropped.
+        assert out.read_bytes() == b'{"ids": [5, 6, 5]}\n{"ids": [6, 5, 3]}\n'
+
+
+def test_vocabulary_save_bytes(tmp_path):
+    path = tmp_path / "vocab.txt"
+    Vocabulary(list(SPECIAL_TOKENS) + ["ä", "##b"]).save(path)
+    assert path.read_bytes() == ("\n".join(SPECIAL_TOKENS) + "\nä\n##b\n").encode()
+    assert os.listdir(tmp_path) == ["vocab.txt"]

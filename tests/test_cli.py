@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import medeir.cli as cli
-from medeir.cli import RunConfig, dispatch, load_run_config
+from medeir.cli import dispatch
 from medeir.datapipe import read_documents, read_hard_negatives, read_pairs
 from medeir.evaluation import load_report
 from medeir.model import ModelConfig, build_model, load_model, save_model
@@ -209,6 +209,28 @@ class TestTrainCommands:
         assert rc == 0
         assert (out / "train_log.jsonl").exists()
 
+    def test_hardneg_on_flagged_mined_records(self, ws, tmp_path):
+        hn = tmp_path / "hn.jsonl"
+        assert dispatch(["data", "mine", "--in", str(ws / "pairs.jsonl"),
+                         "--corpus", str(ws / "corpus.jsonl"),
+                         "--model", str(ws / "ckpt"), "--out", str(hn),
+                         "--per-query", "3", "--band-lo", "0.7",
+                         "--band-hi", "1.0"]) == 0
+        records = read_hard_negatives(hn)
+        counts = [len(r.negatives) for r in records]
+        assert any(r.flagged for r in records)
+        assert 0 in counts and max(counts) > 0 and len(set(counts)) > 2
+        # one batch of all four records: ragged counts, some of them zero
+        cfg = stage_config(tmp_path, "hard_negative", global_batch=4)
+        out = tmp_path / "ckpt_hn"
+        rc = dispatch(["train", "hardneg", "--config", str(cfg),
+                       "--data", str(hn), "--init", str(ws / "ckpt"),
+                       "--out", str(out)])
+        assert rc == 0
+        log = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in log] == [1, 2]
+        assert all(np.isfinite(r["loss"]) for r in log)
+
     def test_stage_mismatch_rejected(self, ws, tmp_path, capsys):
         cfg = stage_config(tmp_path, "contrastive")
         rc = dispatch(["train", "mlm", "--config", str(cfg),
@@ -290,6 +312,15 @@ class TestExitCodes:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys):
+        src = tmp_path / "raw.jsonl"
+        src.write_text('{"id": "a", "text": "alpha"}\n{"id": "b", "text": \n')
+        rc = dispatch(["data", "clean", "--in", str(src),
+                       "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 1
+        assert f"{src}:2" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
         capsys.readouterr()
@@ -303,63 +334,6 @@ class TestExitCodes:
         def boom(args):
             raise RuntimeError("wires crossed")
 
-        ns = argparse.Namespace(threads=1, func=boom)
+        ns = argparse.Namespace(func=boom)
         assert cli._execute(ns) == 2
         assert "internal error" in capsys.readouterr().err
-
-    def test_bad_threads_exits_one(self, ws, capsys):
-        rc = dispatch(["--threads", "0", "embed", "--model", str(ws / "ckpt"),
-                       "--text", "alpha"])
-        assert rc == 1
-        assert "--threads" in capsys.readouterr().err
-
-
-class TestRunConfig:
-    def blob(self):
-        return {
-            "version": 1,
-            "seed": 11,
-            "model": {"vocab_size": 16, "hidden": 8, "layers": 1, "heads": 2,
-                      "ffn_dim": 16, "num_projections": 2, "max_train_len": 16,
-                      "max_infer_len": 32},
-            "stages": {"mlm": {"total_steps": 4, "peak_lr": 1e-3, "beta1": 0.9,
-                               "beta2": 0.98, "global_batch": 2, "grad_accum": 1,
-                               "warmup_fraction": 0.25}},
-            "paths": {},
-        }
-
-    def test_round_trip(self):
-        config = RunConfig.from_dict(self.blob())
-        assert config.seed == 11
-        assert config.model.hidden == 8
-        assert config.stages["mlm"].total_steps == 4
-        assert RunConfig.from_dict(config.to_dict()) == config
-
-    def test_version_required(self):
-        blob = self.blob()
-        del blob["version"]
-        with pytest.raises(ValueError, match="version"):
-            RunConfig.from_dict(blob)
-
-    def test_unknown_keys_rejected(self):
-        blob = self.blob()
-        blob["extra"] = 1
-        with pytest.raises(ValueError, match="extra"):
-            RunConfig.from_dict(blob)
-
-    def test_unknown_stage_rejected(self):
-        blob = self.blob()
-        blob["stages"] = {"finetune": {"total_steps": 1}}
-        with pytest.raises(ValueError, match="finetune"):
-            RunConfig.from_dict(blob)
-
-    def test_paths_must_exist(self, tmp_path):
-        blob = self.blob()
-        blob["paths"] = {"data": "missing.jsonl"}
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match="does not exist"):
-            load_run_config(path)
-        (tmp_path / "missing.jsonl").write_text("")
-        config = load_run_config(path)
-        assert config.paths == {"data": "missing.jsonl"}

@@ -348,6 +348,63 @@ class TestHardNegativeLoss:
         assert grad_check(f, q_raw, h=1e-5) < 1e-4
 
 
+def ragged_negatives(rng, dim):
+    """Unit negatives for three items holding 2, 1 and 0 of them."""
+    return [unit_rows(rng.standard_normal((n, dim))) for n in (2, 1, 0)]
+
+
+def pad_negatives(negs, dim):
+    width = max(len(n) for n in negs)
+    return np.stack([np.concatenate([n, np.zeros((width - len(n), dim))])
+                     for n in negs])
+
+
+class TestRaggedHardNegativeLoss:
+    def test_matches_numpy_reference(self):
+        rng = np.random.default_rng(11)
+        q = unit_rows(rng.standard_normal((3, 5)))
+        p = unit_rows(rng.standard_normal((3, 5)))
+        negs = ragged_negatives(rng, 5)
+        got = hard_negative_loss(Tensor(q), Tensor(p), Tensor(pad_negatives(negs, 5)),
+                                 0.1).item()
+        want = []
+        for i in range(3):
+            logits = np.concatenate([p @ q[i], negs[i] @ q[i]]) / 0.1
+            want.append(np.log(np.exp(logits).sum()) - logits[i])
+        assert got == pytest.approx(np.mean(want), rel=1e-12)
+
+    def test_padding_does_not_change_full_items(self):
+        rng = np.random.default_rng(12)
+        q = Tensor(unit_rows(rng.standard_normal((2, 4))))
+        p = Tensor(unit_rows(rng.standard_normal((2, 4))))
+        full = unit_rows(rng.standard_normal((2, 2, 4)))
+        padded = np.concatenate([full, np.zeros((2, 1, 4))], axis=1)
+        a = hard_negative_loss(q, p, Tensor(full), 0.05).item()
+        b = hard_negative_loss(q, p, Tensor(padded), 0.05).item()
+        assert a == b
+
+    @pytest.mark.parametrize("which", ["q", "p", "negatives"])
+    def test_grad_check(self, which):
+        rng = np.random.default_rng(13)
+        inputs = {"q": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+                  "p": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+                  "negatives": Tensor(rng.standard_normal((3, 4)), requires_grad=True)}
+
+        def f(t):
+            args = dict(inputs, **{which: t})
+            flat = ad.l2_normalize(args["negatives"], axis=-1)  # 2 + 1 + 0 rows
+            negs = ad.stack([ad.narrow(flat, 0, 0, 2),
+                             ad.concat([ad.narrow(flat, 0, 2, 3),
+                                        Tensor(np.zeros((1, 4)))]),
+                             Tensor(np.zeros((2, 4)))])
+            return hard_negative_loss(ad.l2_normalize(args["q"], axis=-1),
+                                      ad.l2_normalize(args["p"], axis=-1), negs, 0.2)
+
+        # one coordinate's gradient is ~1e-6, so central-difference round-off
+        # alone gives it a relative error near 1e-5
+        assert grad_check(f, inputs[which], h=1e-5) < 1e-4
+
+
 class TestSampler:
     def pairs(self, tag, n):
         return [(f"{tag} query {i}", f"{tag} passage {i}") for i in range(n)]
@@ -495,6 +552,19 @@ class TestRunStage:
         ln_v = math.log(len(tokenizer.vocab))
         assert abs(records[0]["loss"] - ln_v) / ln_v < 0.05
 
+    def test_train_log_bytes(self, tmp_path):
+        model, tokenizer = tiny_setup()
+        data = mlm_sequences(tokenizer, n=6)  # 3 micro batches of 2
+        cfg = StageConfig.mlm_defaults(total_steps=5, global_batch=4,
+                                       grad_accum=2, max_len=32, seed=0)
+        log = tmp_path / "train_log.jsonl"
+        first = run_stage(cfg, model, tokenizer, data, log_path=log)[0]
+        assert log.read_bytes() == (
+            f'{{"step": 1, "stage": "mlm", "lr": {first["lr"]!r}, '
+            f'"loss": {first["loss"]!r}, "tokens_seen": {first["tokens_seen"]}}}\n'
+            '{"step": 2, "stage": "mlm", "event": "partial_accumulation_dropped", '
+            '"micro_batches": 1}\n').encode()
+
     def test_partial_accumulation_dropped_and_logged(self):
         model, tokenizer = tiny_setup()
         data = mlm_sequences(tokenizer, n=6)  # 3 micro batches of 2
@@ -524,6 +594,31 @@ class TestRunStage:
         records = run_stage(cfg, model, tokenizer, sources)
         assert len(records) == 2
         assert all(math.isfinite(r["loss"]) for r in records)
+
+    def test_ragged_hard_negative_stage_runs(self):
+        model, tokenizer = tiny_setup()
+        counts = [2, 1, 0, 2, 0, 1]
+        items = [(f"q{c} aa", f"p{c} bb", [f"n{c} c{k}" for k in "de"[:n]])
+                 for c, n in zip("abcdef", counts)]
+        cfg = StageConfig.hard_negative_defaults(total_steps=3, global_batch=6,
+                                                 grad_accum=1, max_len=16, seed=5)
+        records = run_stage(cfg, model, tokenizer, [PairSource("s0", items)])
+        assert len(records) == 3
+        assert all(math.isfinite(r["loss"]) for r in records)
+
+    def test_hard_negative_batch_without_negatives_is_info_nce(self):
+        pairs = [(f"q{c} aa", f"p{c} bb") for c in "abcd"]
+
+        def losses(stage, items):
+            model, tokenizer = tiny_setup()
+            cfg = StageConfig(stage=stage, total_steps=2, peak_lr=1e-3, beta1=0.9,
+                              beta2=0.98, global_batch=4, grad_accum=1,
+                              warmup_fraction=0.5, max_len=16, seed=3)
+            return [r["loss"] for r in
+                    run_stage(cfg, model, tokenizer, [PairSource("s0", items)])]
+
+        assert losses("hard_negative", [(q, p, []) for q, p in pairs]) \
+            == losses("contrastive", pairs)
 
     def test_seeded_mlm_stage_is_reproducible(self):
         def final_params():
