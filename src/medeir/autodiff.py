@@ -580,7 +580,8 @@ def attention(q, k, v, bias, scale: float, key_pad=None) -> Tensor:
 
     q, k, v are (..., S, dh); bias is a constant array that broadcasts to
     the (..., S, S) logits and is cast to their dtype; key_pad is a boolean
-    (S,) mask of padded keys, or None. The logits live in one buffer that
+    mask of padded keys, or None: (S,) for every sequence alike, or (B, S)
+    for q of shape (B, heads, S, dh). The logits live in one buffer that
     each step updates in place, and only the attention weights are kept for
     backward. The steps run in the order of the composed chain (matmul, mul,
     add, masked_fill, softmax, matmul), so values and gradients are bit for
@@ -588,12 +589,16 @@ def attention(q, k, v, bias, scale: float, key_pad=None) -> Tensor:
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     scale_arr = np.asarray(scale, dtype=q.dtype)
-    pad = None if key_pad is None else np.asarray(key_pad, dtype=bool)
     att = np.matmul(q.data, np.ascontiguousarray(np.swapaxes(k.data, -1, -2)))
+    pad = None
+    if key_pad is not None:
+        pad = np.asarray(key_pad, dtype=bool)
+        # a row of keys per sequence; new axes (heads, queries) broadcast
+        pad = pad.reshape(pad.shape[:-1] + (1,) * (att.ndim - pad.ndim) + pad.shape[-1:])
     att *= scale_arr
     att += np.asarray(bias, dtype=att.dtype)
     if pad is not None:
-        att[..., pad] = -1e9
+        np.copyto(att, -1e9, where=pad)
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
@@ -608,7 +613,7 @@ def attention(q, k, v, bias, scale: float, key_pad=None) -> Tensor:
         dlogits -= (dlogits * att).sum(axis=-1, keepdims=True)
         dlogits *= att
         if pad is not None:
-            dlogits[..., pad] = 0.0
+            np.copyto(dlogits, 0.0, where=pad)
         dlogits *= scale_arr
         if q.requires_grad:
             kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
@@ -662,7 +667,12 @@ def cross_entropy(logits, targets) -> Tensor:
 # backward and gradient checking
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor below a scalar loss."""
+    """Populate grads of every requires_grad tensor below a scalar loss.
+
+    Only leaves (tensors without a backward closure, such as parameters)
+    keep their grads: an interior node's grad is dropped as soon as its
+    closure has pushed it to the node's parents.
+    """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.size != 1:
@@ -674,6 +684,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(tape.nodes):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node)
+            node.grad = None
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .checkpoint import atomic_write_text, checkpoint_hash, read_jsonl, write_jsonl
 from .datapipe import (
+    Embedder,
     clean_document,
     dedup_corpus,
     filter_pairs_by_similarity,
@@ -36,7 +37,7 @@ from .evaluation import (
     render_table,
     save_report,
 )
-from .model import EncoderModel, embed_text, load_model
+from .model import EncoderModel, embed_text, embed_texts, load_model
 from .tokenizer import (
     TokenizerModel,
     Vocabulary,
@@ -73,8 +74,12 @@ def _load_checkpoint(path: str) -> tuple[EncoderModel, TokenizerModel]:
     return model, TokenizerModel(vocab)
 
 
-def _embedder(model: EncoderModel, tokenizer: TokenizerModel):
-    return lambda text: embed_text(model, tokenizer, text)
+def _embedder(model: EncoderModel, tokenizer: TokenizerModel,
+              texts: list[str]) -> Embedder:
+    """Embed every distinct text in one batched call; the returned embedder
+    looks a text's row up."""
+    distinct = list(dict.fromkeys(texts))
+    return dict(zip(distinct, embed_texts(model, tokenizer, distinct))).__getitem__
 
 
 def _limited(items: list, limit: int | None) -> list:
@@ -148,8 +153,9 @@ def _cmd_data_pack(args) -> None:
 def _cmd_data_filter(args) -> None:
     pairs = _limited(read_pairs(Path(args.infile)), args.limit)
     model, tokenizer = _load_checkpoint(args.model)
-    kept = filter_pairs_by_similarity(pairs, _embedder(model, tokenizer),
-                                      threshold=args.threshold,
+    embedder = _embedder(model, tokenizer,
+                         [text for p in pairs for text in (p.query, p.positive)])
+    kept = filter_pairs_by_similarity(pairs, embedder, threshold=args.threshold,
                                       drop_fraction=args.drop_fraction)
     write_pairs(Path(args.out), kept)
     print(f"kept {len(kept)} of {len(pairs)} pairs -> {args.out}")
@@ -159,8 +165,8 @@ def _cmd_data_mine(args) -> None:
     pairs = _limited(read_pairs(Path(args.infile)), args.limit)
     corpus = [d.text for d in read_documents(Path(args.corpus))]
     model, tokenizer = _load_checkpoint(args.model)
-    records = mine_hard_negatives(pairs, corpus, _embedder(model, tokenizer),
-                                  per_query=args.per_query,
+    embedder = _embedder(model, tokenizer, corpus + [p.query for p in pairs])
+    records = mine_hard_negatives(pairs, corpus, embedder, per_query=args.per_query,
                                   band=(args.band_lo, args.band_hi))
     write_hard_negatives(Path(args.out), records)
     flagged = sum(1 for r in records if r.flagged)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .checkpoint import (atomic_write_bytes, atomic_write_text, read_jsonl,
                          write_jsonl)
-from .model import EncoderModel, embed_text
+# embed_text is not called here; perfbench/spans.py wraps it by this name
+from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
 from .tokenizer import TokenizerModel
 
 REPORT_VERSION = 1
@@ -106,8 +107,7 @@ def _embed_corpus(mut: ModelUnderTest, corpus: Mapping[str, str],
                 cached_ids = [str(x) for x in blob["ids"]]
                 if cached_ids == doc_ids:
                     return doc_ids, blob["embeddings"]
-    matrix = np.stack([embed_text(mut.model, mut.tokenizer, corpus[did])
-                       for did in doc_ids])
+    matrix = embed_texts(mut.model, mut.tokenizer, [corpus[did] for did in doc_ids])
     if cache_path is not None:
         buffer = io.BytesIO()
         np.savez(buffer, ids=np.array(doc_ids), embeddings=matrix)
@@ -128,15 +128,16 @@ def retrieval_run(mut: ModelUnderTest, dataset: RetrievalDataset, k: int,
         raise ValueError(f"dataset {dataset.name!r} has an empty corpus")
     doc_ids, matrix = _embed_corpus(mut, dataset.corpus, cache_dir)
     corpus = matrix.astype(np.float64)
+    qids = sorted(dataset.queries)
+    queries = embed_texts(mut.model, mut.tokenizer, [dataset.queries[q] for q in qids])
     ranked: dict[str, list[str]] = {}
-    for qid in sorted(dataset.queries):
-        q = embed_text(mut.model, mut.tokenizer, dataset.queries[qid])
+    for qid, q in zip(qids, queries):
         # a per-row reduction, unlike BLAS gemv, gives identical rows
         # identical sums, so exact ties stay ties
         sims = (corpus * q.astype(np.float64)).sum(axis=1)
-        order = sorted(range(len(doc_ids)),
-                       key=lambda i: (-sims[i], doc_ids[i]))
-        ranked[qid] = [doc_ids[i] for i in order[:k]]
+        # doc_ids is sorted, so a stable sort breaks ties by doc id
+        order = np.argsort(-sims, kind="stable")[:k]
+        ranked[qid] = [doc_ids[i] for i in order]
     return ranked
 
 
@@ -308,18 +309,28 @@ def load_report(path: Path) -> EvalReport:
 # dataset files
 
 def load_dataset(directory: Path, name: str | None = None) -> RetrievalDataset:
+    """Read a dataset directory. Its name is, in order of preference, the
+    name argument, the one dataset.json records, or the directory's name."""
     directory = Path(directory)
     queries = _read_id_text(directory / "queries.jsonl")
     corpus = _read_id_text(directory / "corpus.jsonl")
     qrels: dict[str, dict[str, int]] = {}
     for blob in read_jsonl(directory / "qrels.jsonl"):
         qrels.setdefault(str(blob["qid"]), {})[str(blob["did"])] = int(blob["rel"])
-    return RetrievalDataset(name=name or directory.name, queries=queries,
-                            corpus=corpus, qrels=qrels)
+    if name is None:
+        info = directory / "dataset.json"
+        if info.exists():
+            with open(info, "r", encoding="utf-8") as fh:
+                name = str(json.load(fh)["name"])
+        else:
+            name = directory.name
+    return RetrievalDataset(name=name, queries=queries, corpus=corpus, qrels=qrels)
 
 
 def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
     directory = Path(directory)
+    atomic_write_text(directory / "dataset.json",
+                      json.dumps({"name": dataset.name}, ensure_ascii=False) + "\n")
     _write_id_text(directory / "queries.jsonl", dataset.queries)
     _write_id_text(directory / "corpus.jsonl", dataset.corpus)
     write_jsonl(directory / "qrels.jsonl",

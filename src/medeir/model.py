@@ -8,8 +8,14 @@ Pieces that differ from a stock pre-norm transformer:
   - the MLM head is an adaptive softmax over frequency-ranked clusters with
     a layer norm applied before projection.
 
-Forward functions operate on a single sequence (shape (S, d)); training
-loops over the items of a batch. Attention is one fused autodiff op
+Forward functions take one sequence of ids (S,) or a batch of equal-length
+sequences (B, S), and every op broadcasts over the leading batch axis.
+embed_batch is the one encode path that training, evaluation, filtering and
+mining share: it groups sequences by exact token length and runs one
+forward per group. Unpadded groups make each row's arithmetic (numpy
+matmul runs one gemm per batch item; reductions see the same lengths)
+that of a forward over that sequence alone, so a text's embedding does not
+depend on what it is batched with. Attention is one fused autodiff op
 (autodiff.attention), and each forward builds its ALiBi bias afresh, in the
 model's dtype, as a strided view of one (heads, 2S - 1) row per head.
 """
@@ -20,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -343,62 +350,70 @@ def _affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 
 def embed_tokens(embedding: MultiProjEmbedding, ids) -> Tensor:
-    """Attention-weighted sum of K projected views of each token embedding."""
+    """Attention-weighted sum of K projected views of each token embedding.
+
+    ids is (S,) or (B, S); the result is (S, d) or (B, S, d).
+    """
     ids = np.asarray(ids, dtype=np.int64)
     vocab_size = embedding.table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError(f"token id out of range for vocab of {vocab_size}")
-    e = ad.index_select(embedding.table, ids)                 # (S, d)
-    h = ad.matmul(e, embedding.projections)                   # (K, S, d)
-    k, s, d = h.shape
+    k, d = embedding.scorer.shape
+    e = ad.index_select(embedding.table, ids)                 # (..., S, d)
+    e = ad.reshape(e, ids.shape[:-1] + (1, ids.shape[-1], d))
+    h = ad.matmul(e, embedding.projections)                   # (..., K, S, d)
     scores = ad.sum_(ad.mul(h, ad.reshape(embedding.scorer, (k, 1, d))), axis=-1)
-    weights = ad.softmax(scores, axis=0)                      # (K, S)
-    combined = ad.mul(h, ad.reshape(weights, (k, s, 1)))
-    return ad.sum_(combined, axis=0)                          # (S, d)
+    weights = ad.softmax(scores, axis=-2)                     # (..., K, S)
+    combined = ad.mul(h, ad.reshape(weights, weights.shape + (1,)))
+    return ad.sum_(combined, axis=-3)                         # (..., S, d)
 
 
 def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: np.ndarray,
                pad_mask: np.ndarray | None, config: ModelConfig) -> Tensor:
-    s, d = h.shape
+    lead, (s, d) = h.shape[:-2], h.shape[-2:]
     n = config.heads
     dh = d // n
+    r = len(lead)
+    swap = tuple(range(r)) + (r + 1, r, r + 2)  # (..., S, n, dh) <-> (..., n, S, dh)
 
     def heads_view(x):
-        return ad.transpose(ad.reshape(x, (s, n, dh)), (1, 0, 2))  # (n, S, dh)
+        return ad.transpose(ad.reshape(x, lead + (s, n, dh)), swap)
 
     q = heads_view(ad.add(ad.matmul(h, layer.wq), layer.bq))
     key = heads_view(ad.add(ad.matmul(h, layer.wk), layer.bk))
     v = heads_view(ad.add(ad.matmul(h, layer.wv), layer.bv))
 
     ctx = ad.attention(q, key, v, alibi_bias, 1.0 / math.sqrt(dh),
-                       pad_mask)                               # (n, S, dh)
-    merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (s, d))
+                       pad_mask)                               # (..., n, S, dh)
+    merged = ad.reshape(ad.transpose(ctx, swap), lead + (s, d))
     return ad.add(ad.matmul(merged, layer.wo), layer.bo)
 
 
 def encoder_forward(model: EncoderModel, ids, attention_mask=None) -> Tensor:
-    """Run the full encoder over one sequence; returns (S, d) hidden states."""
+    """Run the full encoder over one sequence (S,) or a batch of equal-length
+    sequences (B, S); returns (S, d) or (B, S, d) hidden states."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("ids must be a non-empty 1-D sequence")
-    if ids.size > model.config.max_infer_len:
-        raise ValueError(f"sequence length {ids.size} exceeds "
+    if ids.ndim not in (1, 2) or ids.size == 0:
+        raise ValueError("ids must be a non-empty (S,) sequence or (B, S) batch")
+    seq_len = ids.shape[-1]
+    if seq_len > model.config.max_infer_len:
+        raise ValueError(f"sequence length {seq_len} exceeds "
                          f"max_infer_len {model.config.max_infer_len}")
-    if attention_mask is None:
-        attention_mask = np.ones(ids.size, dtype=np.int64)
-    mask = np.asarray(attention_mask)
-    if mask.shape != ids.shape:
-        raise ValueError("attention_mask length must match ids")
-    pad = mask == 0
+    pad = None
+    if attention_mask is not None:
+        mask = np.asarray(attention_mask)
+        if mask.shape != ids.shape:
+            raise ValueError("attention_mask shape must match ids")
+        if (mask == 0).any():
+            pad = mask == 0
     eps = model.config.layer_norm_eps
 
-    alibi = _alibi_stack(model.alibi.slopes, ids.size, model.embedding.table.dtype)
+    alibi = _alibi_stack(model.alibi.slopes, seq_len, model.embedding.table.dtype)
 
     h = embed_tokens(model.embedding, ids)
     for layer in model.layers:
         attn_in = _affine_norm(h, layer.ln1_gamma, layer.ln1_beta, eps)
-        h = ad.add(h, _attention(attn_in, layer, alibi, pad if pad.any() else None,
-                                 model.config))
+        h = ad.add(h, _attention(attn_in, layer, alibi, pad, model.config))
         ffn_in = _affine_norm(h, layer.ln2_gamma, layer.ln2_beta, eps)
         ffn = ad.matmul(ad.gelu(ad.add(ad.matmul(ffn_in, layer.w_ffn_in),
                                        layer.b_ffn_in)), layer.w_ffn_out)
@@ -406,8 +421,17 @@ def encoder_forward(model: EncoderModel, ids, attention_mask=None) -> Tensor:
     return _affine_norm(h, model.final_gamma, model.final_beta, eps)
 
 
-def mean_pool(hidden: Tensor, attention_mask) -> Tensor:
-    mask = np.asarray(attention_mask)
+def mean_pool(hidden: Tensor, attention_mask=None) -> Tensor:
+    """Mean of each sequence's hidden states over its unmasked positions.
+
+    hidden is (S, d) or (B, S, d); a mask that leaves positions out is
+    taken only for a single sequence.
+    """
+    mask = None if attention_mask is None else np.asarray(attention_mask)
+    if mask is None or (mask == 1).all():
+        return ad.mean(hidden, axis=-2)
+    if hidden.ndim != 2:
+        raise ValueError("mean_pool over padded positions takes one sequence")
     keep = np.flatnonzero(mask == 1)
     if keep.size == 0:
         raise ValueError("mean_pool with every position masked")
@@ -415,22 +439,70 @@ def mean_pool(hidden: Tensor, attention_mask) -> Tensor:
 
 
 def embed_sequence(model: EncoderModel, ids, attention_mask=None) -> Tensor:
-    """Differentiable text embedding: forward, mean-pool, unit-normalize."""
+    """Differentiable text embedding: forward, mean-pool, unit-normalize.
+
+    ids is (S,) or (B, S); the result is (d,) or (B, d).
+    """
     hidden = encoder_forward(model, ids, attention_mask)
-    if attention_mask is None:
-        attention_mask = np.ones(len(ids), dtype=np.int64)
     return ad.l2_normalize(mean_pool(hidden, attention_mask), axis=-1)
 
 
-def embed_text(model: EncoderModel, tokenizer: TokenizerModel, text: str) -> np.ndarray:
-    seq = tokenizer.encode(text)
-    if not seq.ids:
-        raise ValueError("text produced no tokens")
+# Most floats one forward's (B, heads, S, S) attention weights may hold; a
+# larger group of equal-length sequences is split over several forwards.
+_GROUP_FLOATS = 1 << 22
+
+
+def length_groups(lengths: Sequence[int], heads: int) -> list[list[int]]:
+    """Indices of the sequences of each length, shortest length first and in
+    input order within a length, split so that no group's attention weights
+    exceed _GROUP_FLOATS floats."""
+    by_length: dict[int, list[int]] = {}
+    for i, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(i)
+    groups = []
+    for length in sorted(by_length):
+        rows = by_length[length]
+        step = max(1, _GROUP_FLOATS // (heads * length * length))
+        groups.extend(rows[start:start + step] for start in range(0, len(rows), step))
+    return groups
+
+
+def embed_batch(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> Tensor:
+    """(n, d) unit embeddings of n token-id sequences, rows in input order.
+
+    Sequences of one length run as one forward over a (B, S) batch, so each
+    row equals embed_sequence of that sequence alone, bit for bit. The graph
+    is recorded whenever gradients are enabled.
+    """
+    if not id_lists:
+        return Tensor(np.zeros((0, model.config.hidden), dtype=model.embedding.table.dtype))
+    if not all(len(ids) for ids in id_lists):
+        raise ValueError("cannot embed an empty token sequence")
+    groups = length_groups([len(ids) for ids in id_lists], model.config.heads)
+    parts = [embed_sequence(model, [id_lists[i] for i in rows]) for rows in groups]
+    out = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    order = [i for rows in groups for i in rows]
+    if order == sorted(order):
+        return out
+    return ad.index_select(out, np.argsort(order))
+
+
+def embed_texts(model: EncoderModel, tokenizer: TokenizerModel,
+                texts: Sequence[str]) -> np.ndarray:
+    """(n, d) unit embeddings of texts, each cut to max_infer_len tokens."""
     limit = model.config.max_infer_len
-    ids = seq.ids[:limit]
-    mask = seq.attention_mask[:limit]
+    id_lists = []
+    for text in texts:
+        ids = tokenizer.encode(text).ids
+        if not ids:
+            raise ValueError("text produced no tokens")
+        id_lists.append(ids[:limit])
     with ad.no_grad():
-        return embed_sequence(model, ids, mask).data.copy()
+        return embed_batch(model, id_lists).data
+
+
+def embed_text(model: EncoderModel, tokenizer: TokenizerModel, text: str) -> np.ndarray:
+    return embed_texts(model, tokenizer, [text])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +535,35 @@ def adaptive_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor) -> Tensor:
 
 def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
              attention_mask=None) -> Tensor:
-    """Mean cross-entropy at the masked positions."""
-    positions = sorted(mask_positions)
-    if not positions:
-        raise ValueError("mlm_loss needs at least one masked position")
+    """Cross-entropy at the masked positions.
+
+    For one sequence (ids (S,), one set of positions) it is the mean over
+    those positions. For a batch of equal-length sequences (ids (B, S), one
+    set of positions per row) it is the mean over rows of each row's mean.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim == 1:
+        ids, mask_positions, original_ids = ids[None], [mask_positions], [original_ids]
+        if attention_mask is not None:
+            attention_mask = np.asarray(attention_mask)[None]
+    rows = [sorted(positions) for positions in mask_positions]
+    if len(rows) != ids.shape[0]:
+        raise ValueError(f"{len(rows)} position sets for {ids.shape[0]} sequences")
+    if not all(rows):
+        raise ValueError("mlm_loss needs at least one masked position per sequence")
+    batch, seq_len = ids.shape
+    flat = np.concatenate([b * seq_len + np.asarray(r, dtype=np.int64)
+                           for b, r in enumerate(rows)])
     hidden = encoder_forward(model, ids, attention_mask)
-    selected = ad.index_select(hidden, np.asarray(positions, dtype=np.int64))
+    hidden = ad.reshape(hidden, (batch * seq_len, hidden.shape[-1]))
     head = model.mlm_head
-    normed = _affine_norm(selected, head.pre_norm_gamma, head.pre_norm_beta,
-                          model.config.layer_norm_eps)
+    normed = _affine_norm(ad.index_select(hidden, flat), head.pre_norm_gamma,
+                          head.pre_norm_beta, model.config.layer_norm_eps)
     log_probs = adaptive_log_probs(head, normed)
-    originals = np.asarray(original_ids, dtype=np.int64)
-    targets = originals[np.asarray(positions)]
-    return ad.neg(ad.mean(ad.pick(log_probs, targets)))
+    targets = np.asarray(original_ids, dtype=np.int64).reshape(-1)[flat]
+    counts = np.array([len(r) for r in rows])
+    weights = np.repeat(1.0 / (batch * counts), counts).astype(log_probs.dtype)
+    return ad.neg(ad.sum_(ad.mul(ad.pick(log_probs, targets), weights)))
 
 
 # ---------------------------------------------------------------------------

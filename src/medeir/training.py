@@ -19,7 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .checkpoint import write_jsonl
-from .model import EncoderModel, embed_sequence, mlm_loss, save_model
+# embed_sequence is not called here; perfbench/spans.py wraps it by this name
+from .model import (EncoderModel, embed_batch, embed_sequence,  # noqa: F401
+                    length_groups, mlm_loss, save_model)
 from .tokenizer import MASK_TOKEN, EncodedSequence, TokenizerModel
 
 STAGES = ("mlm", "contrastive", "hard_negative")
@@ -365,47 +367,46 @@ class StageConfig:
 
 def _encode_batch(model: EncoderModel, tokenizer: TokenizerModel,
                   texts: Sequence[str], max_len: int) -> tuple[Tensor, int]:
-    embs = []
-    tokens = 0
+    """(n, d) embeddings of texts cut to max_len tokens, and their token count."""
+    id_lists = []
     for text in texts:
-        seq = tokenizer.encode(text)
-        ids = seq.ids[:max_len]
-        mask = seq.attention_mask[:max_len]
+        ids = tokenizer.encode(text).ids[:max_len]
         if not ids:
             raise ValueError(f"text tokenized to nothing: {text[:40]!r}")
-        tokens += len(ids)
-        embs.append(embed_sequence(model, ids, mask))
-    return ad.stack(embs, axis=0), tokens
+        id_lists.append(ids)
+    return embed_batch(model, id_lists), sum(len(ids) for ids in id_lists)
 
 
 def _encode_negatives(model: EncoderModel, tokenizer: TokenizerModel,
-                      negatives: Sequence[Sequence[str]], max_len: int,
-                      like: Tensor) -> tuple[Tensor, int]:
+                      negatives: Sequence[Sequence[str]],
+                      max_len: int) -> tuple[Tensor, int]:
     """(B, H, d) embeddings of each item's negatives, H the largest count.
 
-    An item with fewer than H negatives is padded with zero rows (of like's
-    width and dtype), which hard_negative_loss masks out.
+    All negatives are embedded in one call. An item with fewer than H
+    negatives is padded with zero rows, which hard_negative_loss masks out.
     """
     width = max(len(negs) for negs in negatives)
-    per_item = []
-    tokens = 0
+    texts = [text for negs in negatives for text in negs]
+    embs, tokens = _encode_batch(model, tokenizer, texts, max_len)
+    dim = embs.shape[1]
+    table = ad.concat([embs, Tensor(np.zeros((1, dim), dtype=embs.dtype))], axis=0)
+    rows, start = [], 0
     for negs in negatives:
-        rows = []
-        if negs:
-            embs, n_tokens = _encode_batch(model, tokenizer, negs, max_len)
-            tokens += n_tokens
-            rows.append(embs)
-        if len(negs) < width:
-            rows.append(Tensor(np.zeros((width - len(negs), like.shape[1]),
-                                        dtype=like.dtype)))
-        per_item.append(ad.concat(rows, axis=0) if len(rows) > 1 else rows[0])
-    return ad.stack(per_item, axis=0), tokens
+        rows += list(range(start, start + len(negs))) + [len(texts)] * (width - len(negs))
+        start += len(negs)
+    picked = ad.index_select(table, rows)
+    return ad.reshape(picked, (len(negatives), width, dim)), tokens
 
 
 def _mlm_micro_loss(model: EncoderModel, batch: list[EncodedSequence],
                     mask_rate: float, mask_id: int,
                     rng: np.random.Generator) -> tuple[Tensor, int]:
-    losses = []
+    """Mean over the batch's maskable sequences of each one's MLM loss.
+
+    Masks are drawn sequence by sequence in batch order; sequences of equal
+    length then run as one forward.
+    """
+    masked = []
     tokens = 0
     for seq in batch:
         tokens += len(seq.ids)
@@ -413,14 +414,16 @@ def _mlm_micro_loss(model: EncoderModel, batch: list[EncodedSequence],
         if not positions:
             continue
         corrupted, targets = apply_mask(seq, positions, mask_id)
-        losses.append(mlm_loss(model, corrupted, positions, targets,
-                               seq.attention_mask))
-    if not losses:
+        masked.append((corrupted, positions, targets, seq.attention_mask))
+    if not masked:
         raise ValueError("no maskable sequences in batch")
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ad.add(total, extra)
-    return ad.mul(total, 1.0 / len(losses)), tokens
+    total = None
+    for rows in length_groups([len(m[0]) for m in masked], model.config.heads):
+        corrupted, positions, targets, masks = zip(*(masked[i] for i in rows))
+        loss = ad.mul(mlm_loss(model, corrupted, positions, targets, masks),
+                      len(rows) / len(masked))
+        total = loss if total is None else ad.add(total, loss)
+    return total, tokens
 
 
 def _batched(data: Iterable, size: int) -> Iterator[list]:
@@ -484,8 +487,7 @@ def run_stage(config: StageConfig, model: EncoderModel,
                     neg_embs = None
                     if any(batch.negatives):
                         neg_embs, n_tokens = _encode_negatives(
-                            model, tokenizer, batch.negatives, config.max_len,
-                            like=q_embs)
+                            model, tokenizer, batch.negatives, config.max_len)
                         tokens += n_tokens
                     loss = hard_negative_loss(q_embs, p_embs, neg_embs,
                                               config.temperature)

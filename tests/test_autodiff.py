@@ -114,6 +114,28 @@ class TestBackward:
         backward(loss)
         assert np.allclose(x.grad, [7.0])
 
+    def test_interior_grads_dropped_leaf_grads_unchanged(self):
+        def graph():
+            rng = np.random.default_rng(4)
+            x, w = rand64(rng, 3, 4), rand64(rng, 4, 2)
+            h = ad.gelu(ad.matmul(x, w))
+            return ad.sum_(ad.add(ad.mul(h, h), h)), (x, w)
+
+        loss, leaves = graph()
+        interior = [n for n in ad.ComputationTape.build(loss).nodes
+                    if n._backward_fn is not None]
+        backward(loss)
+        assert interior and all(n.grad is None for n in interior)
+
+        # reference: the same walk keeping every interior grad
+        ref_loss, ref_leaves = graph()
+        ref_loss.grad = np.ones_like(ref_loss.data)
+        for node in reversed(ad.ComputationTape.build(ref_loss).nodes):
+            if node._backward_fn is not None and node.grad is not None:
+                node._backward_fn(node)
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert np.array_equal(leaf.grad, ref.grad)
+
     def test_tape_visits_each_node_once(self):
         x = t64([1.0, 2.0])
         y = ad.mul(x, x)

@@ -24,7 +24,7 @@ from medeir.evaluation import (
     save_dataset,
     save_report,
 )
-from medeir.model import ModelConfig, build_model, embed_text
+from medeir.model import ModelConfig, build_model, embed_texts
 from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary
 
 
@@ -305,7 +305,13 @@ class TestDatasetIo:
         assert loaded.queries == ds.queries
         assert loaded.corpus == ds.corpus
         assert loaded.qrels == ds.qrels
-        assert loaded.name == "ds"
+        assert loaded.name == "toy-ds"
+
+    def test_name_falls_back_to_directory(self, tmp_path):
+        save_dataset(tmp_path / "ds", make_dataset())
+        (tmp_path / "ds" / "dataset.json").unlink()
+        assert load_dataset(tmp_path / "ds").name == "ds"
+        assert load_dataset(tmp_path / "ds", name="given").name == "given"
 
     def test_qrels_must_reference_corpus(self):
         with pytest.raises(ValueError):
@@ -328,13 +334,13 @@ class TestEmbeddingCache:
             qrels={"q1": {"d1": 1}},
         )
         calls = {"n": 0}
-        real = embed_text
+        real = embed_texts
 
-        def counting(model, tokenizer, text):
-            calls["n"] += 1
-            return real(model, tokenizer, text)
+        def counting(model, tokenizer, texts):
+            calls["n"] += len(texts)
+            return real(model, tokenizer, texts)
 
-        monkeypatch.setattr(ev, "embed_text", counting)
+        monkeypatch.setattr(ev, "embed_texts", counting)
         cache = tmp_path / "cache"
         first = retrieval_run(mut, ds, k=3, cache_dir=cache)
         after_first = calls["n"]

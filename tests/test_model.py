@@ -14,8 +14,10 @@ from medeir.model import (
     alibi_bias_matrix,
     alibi_slopes,
     build_model,
+    embed_batch,
     embed_sequence,
     embed_text,
+    embed_texts,
     embed_tokens,
     encoder_forward,
     load_model,
@@ -295,6 +297,89 @@ class TestEmbedText:
         model, tok = setup
         with pytest.raises(ValueError):
             embed_text(model, tok, "   ")
+
+
+def per_text_embedding(model, tok, text):
+    """The per-text reference: one forward over the text alone, then the
+    mean over its positions and unit normalization, in numpy."""
+    ids = tok.encode(text).ids[:model.config.max_infer_len]
+    with ad.no_grad():
+        hidden = encoder_forward(model, ids).data
+    pooled = hidden.mean(axis=0)
+    return pooled / np.sqrt((pooled ** 2).sum(axis=-1, keepdims=True))
+
+
+MIXED_TEXTS = ["abc def", "some words here", "abc def", "x", "q r s t",
+               "x", "abd fed", " ".join(["abc"] * 60), "some words here"]
+
+
+class TestEmbedBatch:
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_bitwise_equal_to_per_text_forwards(self, setup, heads):
+        model, tok = setup
+        if heads != model.config.heads:
+            model = build_model(ModelConfig(vocab_size=len(tok.vocab), hidden=32,
+                                            layers=2, heads=heads, ffn_dim=64,
+                                            num_projections=3, max_train_len=64,
+                                            max_infer_len=64), seed=2)
+        lengths = [len(tok.encode(t).ids) for t in MIXED_TEXTS]
+        assert max(lengths) > model.config.max_infer_len  # one text is cut
+        got = embed_texts(model, tok, MIXED_TEXTS)
+        assert got.dtype == np.float32
+        want = np.stack([per_text_embedding(model, tok, t) for t in MIXED_TEXTS])
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[0], got[2])  # duplicates tie exactly
+        assert np.array_equal(embed_text(model, tok, MIXED_TEXTS[1]), want[1])
+
+    def test_rows_follow_input_order_when_grouped(self, setup):
+        model, tok = setup
+        ids = [tok.encode(t).ids for t in MIXED_TEXTS[:7]]
+        with ad.no_grad():
+            out = embed_batch(model, ids).data
+            alone = [embed_batch(model, [row]).data[0] for row in ids]
+        assert np.array_equal(out, np.stack(alone))
+
+    def test_oversized_group_splits_with_identical_output(self, setup, monkeypatch):
+        model, tok = setup
+        texts = ["abc def ghi", "def abc ghi", "ghi def abc", "cba fed ihg", "abc abc abc"]
+        ids = [tok.encode(t).ids for t in texts]
+        assert len({len(row) for row in ids}) == 1
+        calls = []
+        real = model_module.encoder_forward
+
+        def counting(model, ids, attention_mask=None):
+            calls.append(np.shape(ids))
+            return real(model, ids, attention_mask)
+
+        monkeypatch.setattr(model_module, "encoder_forward", counting)
+        whole = embed_texts(model, tok, texts)
+        assert len(calls) == 1
+        seq_len = len(ids[0])
+        # room for two sequences' attention weights per forward
+        monkeypatch.setattr(model_module, "_GROUP_FLOATS",
+                            2 * model.config.heads * seq_len * seq_len)
+        calls.clear()
+        split = embed_texts(model, tok, texts)
+        assert [shape[0] for shape in calls] == [2, 2, 1]
+        assert np.array_equal(whole, split)
+
+    def test_graph_size_does_not_grow_with_equal_length_texts(self, setup):
+        model, tok = setup
+        ids = tok.encode("abc def ghi").ids
+
+        def nodes(n):
+            loss = ad.sum_(embed_batch(model, [ids] * n))
+            return len(ad.ComputationTape.build(loss).nodes)
+
+        assert nodes(6) == nodes(1)
+
+    def test_empty_inputs(self, setup):
+        model, tok = setup
+        assert embed_texts(model, tok, []).shape == (0, model.config.hidden)
+        with pytest.raises(ValueError):
+            embed_batch(model, [[5, 6], []])
+        with pytest.raises(ValueError):
+            embed_texts(model, tok, ["abc", "   "])
 
 
 class TestAdaptiveSoftmax:

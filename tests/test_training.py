@@ -6,7 +6,7 @@ import pytest
 
 from medeir import autodiff as ad
 from medeir.autodiff import Tensor, backward, grad_check
-from medeir.model import ModelConfig, build_model, load_model
+from medeir.model import ModelConfig, build_model, embed_sequence, load_model, mlm_loss
 from medeir.tokenizer import (
     MASK_TOKEN,
     SPECIAL_TOKENS,
@@ -15,6 +15,9 @@ from medeir.tokenizer import (
     Vocabulary,
 )
 from medeir.training import (
+    _encode_batch,
+    _encode_negatives,
+    _mlm_micro_loss,
     OptimizerState,
     PairBatch,
     PairSource,
@@ -517,6 +520,104 @@ def mlm_sequences(tokenizer, n=32, seed=0):
                  for _ in range(int(rng.integers(4, 9)))]
         seqs.append(tokenizer.encode(" ".join(words)))
     return seqs
+
+
+def encode_per_sequence(model, tokenizer, texts, max_len):
+    """The per-sequence reference for _encode_batch: one forward per text."""
+    return ad.stack([embed_sequence(model, tokenizer.encode(t).ids[:max_len])
+                     for t in texts])
+
+
+def negatives_per_item(model, tokenizer, negatives, max_len):
+    """The per-item reference for _encode_negatives: zero rows pad each item."""
+    width = max(len(negs) for negs in negatives)
+    items = []
+    for negs in negatives:
+        rows = [encode_per_sequence(model, tokenizer, negs, max_len)] if negs else []
+        if len(negs) < width:
+            rows.append(Tensor(np.zeros((width - len(negs), model.config.hidden),
+                                        dtype=model.embedding.table.dtype)))
+        items.append(ad.concat(rows, axis=0))
+    return ad.stack(items)
+
+
+def mlm_per_sequence(model, batch, mask_rate, mask_id, rng):
+    """The per-sequence reference for _mlm_micro_loss."""
+    losses = []
+    for seq in batch:
+        positions = select_whole_word_mask(seq, mask_rate, rng)
+        if positions:
+            corrupted, targets = apply_mask(seq, positions, mask_id)
+            losses.append(mlm_loss(model, corrupted, positions, targets))
+    total = losses[0]
+    for extra in losses[1:]:
+        total = ad.add(total, extra)
+    return ad.mul(total, 1.0 / len(losses))
+
+
+QUERIES = ["ab cd ea", "xy", "ab cd eb", "ab cd", "xz", "abc de fgh"]
+POSITIVES = ["ab cd fa", "xy zz", "ab ce", "ab cd fb", "xq", "abd de fgh"]
+NEGATIVES = [["qq rr", "ss"], ["tt uu"], [], ["vv", "ww xx", "yy"], [], ["zz"]]
+MAX_LEN = 6  # cuts the longest texts
+
+
+def batched_losses(model, tokenizer, rng_seed=0):
+    """Contrastive, hard-negative and MLM losses, batched and per sequence."""
+    out = {}
+    for name, encode, encode_negs in (
+            ("batched", lambda t: _encode_batch(model, tokenizer, t, MAX_LEN)[0],
+             lambda n: _encode_negatives(model, tokenizer, n, MAX_LEN)[0]),
+            ("reference", lambda t: encode_per_sequence(model, tokenizer, t, MAX_LEN),
+             lambda n: negatives_per_item(model, tokenizer, n, MAX_LEN))):
+        q, p = encode(QUERIES), encode(POSITIVES)
+        out[name, "contrastive"] = info_nce_loss(q, p, 0.1)
+        out[name, "hardneg"] = hard_negative_loss(q, p, encode_negs(NEGATIVES), 0.1)
+    seqs = mlm_sequences(tokenizer, n=6, seed=4)
+    mask_id = tokenizer.vocab.id_of[MASK_TOKEN]
+    out["batched", "mlm"] = _mlm_micro_loss(model, seqs, 0.3, mask_id,
+                                            np.random.default_rng(rng_seed))[0]
+    out["reference", "mlm"] = mlm_per_sequence(model, seqs, 0.3, mask_id,
+                                               np.random.default_rng(rng_seed))
+    return out
+
+
+class TestBatchedLosses:
+    def test_inputs_cover_grouping(self):
+        _, tokenizer = tiny_setup()
+        lengths = [len(tokenizer.encode(t).ids) for t in QUERIES + POSITIVES]
+        assert len(set(lengths)) < len(lengths) and max(lengths) > MAX_LEN
+        seqs = mlm_sequences(tokenizer, n=6, seed=4)
+        assert len({len(s.ids) for s in seqs}) < len(seqs)
+
+    @pytest.mark.parametrize("loss", ["contrastive", "hardneg", "mlm"])
+    def test_match_per_sequence_reference(self, loss):
+        values, grads = {}, {}
+        for side in ("batched", "reference"):
+            model, tokenizer = tiny_setup()
+            out = batched_losses(model, tokenizer)[side, loss]
+            backward(out)
+            values[side] = out.item()
+            grads[side] = {k: p.grad for k, p in model.named_parameters().items()}
+        assert values["batched"] == pytest.approx(values["reference"], rel=1e-5)
+        for name, g in grads["reference"].items():
+            if g is None:
+                assert grads["batched"][name] is None, name
+            else:
+                assert np.allclose(grads["batched"][name], g, rtol=1e-3, atol=1e-6), name
+
+    @pytest.mark.parametrize("loss", ["contrastive", "hardneg", "mlm"])
+    def test_grad_check(self, loss):
+        _, tokenizer = tiny_setup()
+        model = build_model(tiny_setup()[0].config, seed=0, dtype=np.float64)
+        params = model.named_parameters()
+        rng = np.random.default_rng(5)
+        # embedding.scorer is left out: its gradients here are 1e-6 to 1e-8,
+        # below what central differences resolve on a loss near ln V
+        for name in ("embedding.table", "layers.0.wq", "layers.0.w_ffn_in",
+                     "final_gamma", "mlm.head_projection"):
+            err = grad_check(lambda _: batched_losses(model, tokenizer)["batched", loss],
+                             params[name], h=1e-4, sample=6, rng=rng)
+            assert err < 1e-4, (name, err)
 
 
 class TestRunStage:
