@@ -5,8 +5,14 @@ Pieces that differ from a stock pre-norm transformer:
     combined by a learned attention-weighted sum;
   - attention uses symmetric ALiBi distance penalties instead of position
     embeddings, so no parameter anywhere carries a sequence-length axis;
-  - the MLM head is an adaptive softmax over frequency-ranked clusters with
-    a layer norm applied before projection.
+  - the MLM head is an adaptive softmax with a layer norm applied before
+    projection. Its clusters are contiguous ranges of token ranks, and
+    token_order maps rank to token id. build_model ranks tokens by
+    descending count when given token_counts; no CLI or smoke path passes
+    them, so every pipeline model ranks tokens in id order.
+    adaptive_log_probs gives the full distribution over the vocabulary;
+    training (mlm_loss through target_log_probs) computes only the head and
+    the tail clusters that the masked targets hit.
 
 Forward functions take one sequence of ids (S,) or a batch of equal-length
 sequences (B, S), and every op broadcasts over the leading batch axis.
@@ -39,7 +45,7 @@ MODEL_FORMAT_VERSION = 1
 
 
 def _default_cutoffs(vocab_size: int) -> tuple[int, ...]:
-    """Head = top ~20% of tokens by frequency, two tails splitting the rest."""
+    """Head = the first ~20% of token ranks, two tails splitting the rest."""
     c0 = max(1, round(0.2 * vocab_size))
     c1 = max(c0 + 1, round(0.6 * vocab_size))
     cuts = [c0, c1, vocab_size]
@@ -533,6 +539,48 @@ def adaptive_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor) -> Tensor:
     return id_lp
 
 
+def target_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor, targets) -> Tensor:
+    """Log-probability of each row's target token: hidden (B, d), targets
+    (B,) token ids, result (B,).
+
+    Equals pick(adaptive_log_probs(head, hidden), targets), but computes
+    only what the targets need (Grave et al. 2017, arXiv:1609.04309, sec. 4):
+    the head log-softmax, and each tail cluster only on the rows whose
+    target falls in it. A tail that no target hits runs on zero rows: it
+    costs no arithmetic, and its parameters get an exact zero gradient, as
+    under the full distribution, so AdamW still steps them (a parameter
+    left without a gradient would skip its momentum and weight decay).
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (hidden.shape[0],):
+        raise ValueError(f"need one target per row: {targets.shape} vs {hidden.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= head.rank_of.size):
+        raise ValueError(f"target id out of range for vocab of {head.rank_of.size}")
+    n_tails = len(head.tail_down)
+    cutoff0 = head.head_projection.shape[1] - n_tails
+    ends = cutoff0 + np.cumsum([0] + [out.shape[1] for out in head.tail_out])
+    ranks = head.rank_of[targets]
+    cluster = np.searchsorted(ends, ranks, side="right")   # 0 head, i + 1 tail i
+
+    head_logits = ad.add(ad.matmul(hidden, head.head_projection), head.head_bias)
+    head_lp = ad.log_softmax(head_logits, axis=-1)
+    gate_lp = ad.pick(head_lp, np.where(cluster == 0, ranks, cutoff0 + cluster - 1))
+
+    terms = []
+    # row -> its tail term; head-target rows read the zero appended last
+    where = np.full(len(targets), np.count_nonzero(cluster), dtype=np.int64)
+    start = 0
+    for i, (down, out) in enumerate(zip(head.tail_down, head.tail_out)):
+        rows = np.flatnonzero(cluster == i + 1)
+        tail_h = ad.index_select(hidden, rows)
+        tail_lp = ad.log_softmax(ad.matmul(ad.matmul(tail_h, down), out), axis=-1)
+        terms.append(ad.pick(tail_lp, ranks[rows] - ends[i]))
+        where[rows] = np.arange(start, start + rows.size)
+        start += rows.size
+    terms.append(Tensor(np.zeros(1, dtype=gate_lp.dtype)))
+    return ad.add(gate_lp, ad.index_select(ad.concat(terms, axis=0), where))
+
+
 def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
              attention_mask=None) -> Tensor:
     """Cross-entropy at the masked positions.
@@ -540,6 +588,8 @@ def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
     For one sequence (ids (S,), one set of positions) it is the mean over
     those positions. For a batch of equal-length sequences (ids (B, S), one
     set of positions per row) it is the mean over rows of each row's mean.
+    The head runs through target_log_probs, so only the clusters that the
+    targets hit are computed; no (positions, V) array is built.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
@@ -559,11 +609,11 @@ def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
     head = model.mlm_head
     normed = _affine_norm(ad.index_select(hidden, flat), head.pre_norm_gamma,
                           head.pre_norm_beta, model.config.layer_norm_eps)
-    log_probs = adaptive_log_probs(head, normed)
     targets = np.asarray(original_ids, dtype=np.int64).reshape(-1)[flat]
+    log_probs = target_log_probs(head, normed, targets)
     counts = np.array([len(r) for r in rows])
     weights = np.repeat(1.0 / (batch * counts), counts).astype(log_probs.dtype)
-    return ad.neg(ad.sum_(ad.mul(ad.pick(log_probs, targets), weights)))
+    return ad.neg(ad.sum_(ad.mul(log_probs, weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from medeir.model import (
     mean_pool,
     mlm_loss,
     save_model,
+    target_log_probs,
     token_frequency_order,
 )
 from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary
@@ -433,6 +434,116 @@ class TestAdaptiveSoftmax:
         single = adaptive_log_probs(m.mlm_head, Tensor(h)).data
         batch = adaptive_log_probs(m.mlm_head, Tensor(h[None, :])).data[0]
         assert np.array_equal(single, batch)
+
+
+# ranks by cluster of TOY's default cutoffs (8, 24, 40): head [0, 8),
+# tail 0 [8, 24), tail 1 [24, 40)
+_TARGET_CASES = {
+    "head_only": (TOY, None, [0, 3, 7, 7, 1]),
+    "every_tail": (TOY, None, [2, 8, 23, 24, 39, 5, 30]),
+    "unhit_tail": (TOY, None, [9, 0, 15, 6, 23]),
+    "single_row": (TOY, None, [31]),
+    "single_cluster": (ModelConfig(vocab_size=30, hidden=16, layers=1, heads=2,
+                                   ffn_dim=32, adaptive_cutoffs=(30,)),
+                       None, [0, 29, 13, 13, 4]),
+    "permuted_ranks": (TOY, np.random.default_rng(7).integers(0, 1000, 40),
+                       [1, 7, 8, 20, 26, 39, 3]),
+}
+
+
+class TestTargetLogProbs:
+    @pytest.mark.parametrize("case", sorted(_TARGET_CASES))
+    def test_matches_dense_log_probs(self, case):
+        cfg, counts, ranks = _TARGET_CASES[case]
+        head = build_model(cfg, seed=3, token_counts=counts).mlm_head
+        if counts is not None:
+            assert not np.array_equal(head.rank_of, np.arange(cfg.vocab_size))
+        targets = head.token_order[ranks]
+        rng = np.random.default_rng(11)
+        h = Tensor(rng.standard_normal((len(ranks), cfg.hidden)).astype(np.float32))
+        got = target_log_probs(head, h, targets)
+        want = ad.pick(adaptive_log_probs(head, h), targets)
+        assert got.shape == (len(ranks),) and got.dtype == np.float32
+        assert np.allclose(got.data, want.data, rtol=0.0, atol=1e-6)
+
+    def test_bad_targets_rejected(self):
+        head = toy_model().mlm_head
+        h = Tensor(np.zeros((2, TOY.hidden), dtype=np.float32))
+        with pytest.raises(ValueError):
+            target_log_probs(head, h, [1])
+        with pytest.raises(ValueError):
+            target_log_probs(head, h, [1, TOY.vocab_size])
+        with pytest.raises(ValueError):
+            target_log_probs(head, h, [-1, 2])
+
+
+# three tails, so targets can hit some and miss others
+_THREE_TAILS = ModelConfig(vocab_size=40, hidden=16, layers=1, heads=2, ffn_dim=24,
+                           num_projections=2, adaptive_cutoffs=(8, 16, 28, 40),
+                           max_train_len=32, max_infer_len=64)
+
+
+def _masked_loss_fn(model, targets):
+    """mlm_loss over 10 tokens with the targets masked at positions 0, 2, 4, ..."""
+    ids = np.array([6, 1, 9, 2, 17, 3, 33, 5, 11, 7])
+    positions = list(range(0, 2 * len(targets), 2))
+    ids[positions] = targets
+    corrupted = ids.copy()
+    corrupted[positions] = 4
+    return lambda _: mlm_loss(model, corrupted, positions, ids)
+
+
+class TestTargetLossGradients:
+    def test_grad_check_through_mlm_loss(self):
+        m = build_model(_THREE_TAILS, seed=5, dtype=np.float64)
+        loss_fn = _masked_loss_fn(m, [3, 10, 20, 35])   # head, tails 0, 1, 2
+        rng = np.random.default_rng(9)
+        names = ["mlm.head_projection", "mlm.head_bias", "mlm.pre_norm_gamma",
+                 "mlm.pre_norm_beta", "final_gamma"]
+        names += [f"mlm.tails.{i}.{part}" for i in range(3) for part in ("down", "out")]
+        for name in names:
+            param = m.named_parameters()[name]
+            err = grad_check(loss_fn, param, h=1e-5, sample=12, rng=rng)
+            assert err < 1e-4, f"{name}: {err}"
+
+    def test_grad_check_on_hidden_state(self):
+        head = build_model(_THREE_TAILS, seed=5, dtype=np.float64).mlm_head
+        rng = np.random.default_rng(4)
+        h = Tensor(rng.standard_normal((5, 16)), requires_grad=True)
+        targets = [3, 10, 20, 35, 0]
+        err = grad_check(lambda x: ad.sum_(target_log_probs(head, x, targets)), h)
+        assert err < 1e-6
+
+    def test_unhit_tail_runs_on_no_rows_and_gets_zero_gradient(self):
+        m = build_model(_THREE_TAILS, seed=5, dtype=np.float64)
+        loss = _masked_loss_fn(m, [3, 10, 35])(None)     # tail 1 [16, 28) unhit
+        unhit = m.mlm_head.tail_down[1]
+        readers = [node for node in ad.ComputationTape.build(loss).nodes
+                   if any(p is unhit for p in node._parents)]
+        assert [r.shape for r in readers] == [(0, unhit.shape[1])]
+        ad.backward(loss)
+        params = m.named_parameters()
+        for part in ("down", "out"):
+            # an exact zero, as under the full distribution: AdamW skips a
+            # parameter whose grad is None, which would change training
+            assert not params[f"mlm.tails.1.{part}"].grad.any()
+            assert params[f"mlm.tails.0.{part}"].grad.any()
+            assert params[f"mlm.tails.2.{part}"].grad.any()
+
+    def test_graph_has_no_vocabulary_wide_node(self):
+        # guards against the dense (B, V) path: with V far above the number
+        # of masked positions, no computed node may carry a V-sized axis.
+        # Parameters are leaves and exempt: the embedding table is (V, d).
+        cfg = ModelConfig(vocab_size=3000, hidden=16, layers=1, heads=2, ffn_dim=24,
+                          num_projections=2, max_train_len=32, max_infer_len=64)
+        m = toy_model(config=cfg, seed=1)
+        ids = np.array([5, 700, 2000, 2999, 9, 12, 1500, 8])
+        positions = [0, 1, 2, 3, 6]   # head and both tails of (600, 1800, 3000)
+        loss = mlm_loss(m, ids, positions, ids)
+        computed = [node for node in ad.ComputationTape.build(loss).nodes if node._parents]
+        assert len(computed) > 50
+        for node in computed:
+            assert cfg.vocab_size not in node.shape, node
 
 
 class TestTokenFrequencyOrder:
