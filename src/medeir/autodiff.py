@@ -6,8 +6,10 @@ parents. Calling backward() on a scalar loss builds a ComputationTape (the
 topological order of the graph) and walks it once in reverse.
 
 Design notes:
-  - float32 is the working precision; gradient checking requires float64
-    tensors, constructed via set_default_dtype or explicit dtype arguments.
+  - float32 is the working precision: tensor() stores float input, and
+    Tensor() integer input, as float32. float64 comes only from an explicit
+    dtype (a float64 array, or tensor(..., dtype=np.float64)), which
+    grad_check requires.
   - a Python scalar operand of add/sub/mul/div is weak, as in numpy's own
     NEP 50 rule: it takes the dtype of the tensor it meets. A float32 model
     therefore stays float32 end to end, and float64 tensors stay float64.
@@ -24,13 +26,12 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Tensor", "ComputationTape", "tensor", "zeros", "ones", "randn",
-    "set_default_dtype", "get_default_dtype", "default_dtype", "no_grad",
+    "Tensor", "ComputationTape", "tensor", "no_grad",
     "matmul", "add", "sub", "mul", "neg", "div",
     "transpose", "reshape", "concat", "stack", "narrow", "index_select", "pick",
     "softmax", "log_softmax", "layer_norm", "gelu", "tanh", "mean", "sum_",
@@ -40,28 +41,6 @@ __all__ = [
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("default dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
-
-
-@contextlib.contextmanager
-def default_dtype(dtype):
-    saved = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(saved)
 
 
 @contextlib.contextmanager
@@ -112,18 +91,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     # operator sugar; every implementation lives in the module functions
     def __add__(self, other):
@@ -245,23 +212,6 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     if dtype is None and arr.dtype.kind == "f":
         arr = arr.astype(_DEFAULT_DTYPE, copy=False)
     return Tensor(arr, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE),
-                  requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or _DEFAULT_DTYPE),
-                  requires_grad=requires_grad)
-
-
-def randn(shape, rng: np.random.Generator, scale: float = 1.0,
-          requires_grad: bool = False, dtype=None) -> Tensor:
-    data = rng.standard_normal(shape) * scale
-    return Tensor(data.astype(dtype or _DEFAULT_DTYPE),
-                  requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -575,30 +525,22 @@ def layer_norm(a, eps: float = 1e-12, axis: int = -1) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def attention(q, k, v, bias, scale: float, key_pad=None) -> Tensor:
-    """Fused softmax(scale * q @ k^T + bias, padded keys -> -1e9) @ v.
+def attention(q, k, v, bias, scale: float) -> Tensor:
+    """Fused softmax(scale * q @ k^T + bias) @ v.
 
     q, k, v are (..., S, dh); bias is a constant array that broadcasts to
-    the (..., S, S) logits and is cast to their dtype; key_pad is a boolean
-    mask of padded keys, or None: (S,) for every sequence alike, or (B, S)
-    for q of shape (B, heads, S, dh). The logits live in one buffer that
-    each step updates in place, and only the attention weights are kept for
-    backward. The steps run in the order of the composed chain (matmul, mul,
-    add, masked_fill, softmax, matmul), so values and gradients are bit for
+    the (..., S, S) logits and is cast to their dtype. Sequences are never
+    padded, so every query attends to every key. The logits live in one
+    buffer that each step updates in place, and only the attention weights
+    are kept for backward. The steps run in the order of the composed chain
+    (matmul, mul, add, softmax, matmul), so values and gradients are bit for
     bit those of that chain.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     scale_arr = np.asarray(scale, dtype=q.dtype)
     att = np.matmul(q.data, np.ascontiguousarray(np.swapaxes(k.data, -1, -2)))
-    pad = None
-    if key_pad is not None:
-        pad = np.asarray(key_pad, dtype=bool)
-        # a row of keys per sequence; new axes (heads, queries) broadcast
-        pad = pad.reshape(pad.shape[:-1] + (1,) * (att.ndim - pad.ndim) + pad.shape[-1:])
     att *= scale_arr
     att += np.asarray(bias, dtype=att.dtype)
-    if pad is not None:
-        np.copyto(att, -1e9, where=pad)
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
@@ -612,8 +554,6 @@ def attention(q, k, v, bias, scale: float, key_pad=None) -> Tensor:
         dlogits = np.matmul(g, np.swapaxes(v.data, -1, -2))
         dlogits -= (dlogits * att).sum(axis=-1, keepdims=True)
         dlogits *= att
-        if pad is not None:
-            np.copyto(dlogits, 0.0, where=pad)
         dlogits *= scale_arr
         if q.requires_grad:
             kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))

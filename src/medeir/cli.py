@@ -347,10 +347,7 @@ def _execute(args) -> int:
     try:
         args.func(args)
         return 0
-    except UserError as err:
-        print(f"medeir: error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError) as err:
+    except (UserError, ValueError, OSError, KeyError) as err:
         print(f"medeir: error: {err}", file=sys.stderr)
         return 1
     except Exception as err:

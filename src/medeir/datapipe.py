@@ -112,6 +112,8 @@ def pack_chunks(docs: Sequence[CorpusDocument], tokenizer: TokenizerModel,
     empty buffer, so the next chunk starts with the next document's first
     id and no [SEP] separates the two.
     """
+    if min_tail < 1:
+        raise ValueError("min_tail must be >= 1")
     if chunk_len < min_tail:
         raise ValueError("chunk_len must be >= min_tail")
     sep_id = tokenizer.vocab.id_of[SEP_TOKEN]

@@ -60,15 +60,6 @@ class ModelUnderTest:
     checkpoint_hash: str = ""
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two pre-normalized vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if not np.any(a) or not np.any(b):
-        raise ValueError("cosine of a zero vector is undefined")
-    return float(a @ b)
-
-
 # ---------------------------------------------------------------------------
 # embedding cache
 

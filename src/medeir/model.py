@@ -144,21 +144,13 @@ def alibi_slopes(n_heads: int) -> AlibiBias:
     return AlibiBias(tuple(slopes))
 
 
-def alibi_bias_matrix(seq_len: int, slope: float) -> np.ndarray:
-    """Symmetric encoder bias: entry (i, j) is -slope * |i - j|."""
-    if seq_len < 1:
-        raise ValueError("seq_len must be >= 1")
-    idx = np.arange(seq_len)
-    return (-slope * np.abs(idx[:, None] - idx[None, :])).astype(np.float64)
-
-
 def _alibi_stack(slopes: tuple[float, ...], seq_len: int, dtype) -> np.ndarray:
-    """(heads, S, S) read-only view equal to the stacked alibi_bias_matrix.
+    """(heads, S, S) read-only view of the symmetric encoder bias: entry
+    (h, i, j) is -slopes[h] * |i - j|, computed in float64 and cast to dtype.
 
     Each head's values come from one row of -slope * |d| for d in
-    [-(S - 1), S - 1], computed in float64 and cast to dtype as
-    alibi_bias_matrix(...).astype(dtype) would. Row i of a head is the
-    window of that row starting at offset S - 1 - i.
+    [-(S - 1), S - 1]; row i of a head is the window of that row starting
+    at offset S - 1 - i.
     """
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
@@ -375,7 +367,7 @@ def embed_tokens(embedding: MultiProjEmbedding, ids) -> Tensor:
 
 
 def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: np.ndarray,
-               pad_mask: np.ndarray | None, config: ModelConfig) -> Tensor:
+               config: ModelConfig) -> Tensor:
     lead, (s, d) = h.shape[:-2], h.shape[-2:]
     n = config.heads
     dh = d // n
@@ -389,13 +381,12 @@ def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: np.ndarray,
     key = heads_view(ad.add(ad.matmul(h, layer.wk), layer.bk))
     v = heads_view(ad.add(ad.matmul(h, layer.wv), layer.bv))
 
-    ctx = ad.attention(q, key, v, alibi_bias, 1.0 / math.sqrt(dh),
-                       pad_mask)                               # (..., n, S, dh)
+    ctx = ad.attention(q, key, v, alibi_bias, 1.0 / math.sqrt(dh))  # (..., n, S, dh)
     merged = ad.reshape(ad.transpose(ctx, swap), lead + (s, d))
     return ad.add(ad.matmul(merged, layer.wo), layer.bo)
 
 
-def encoder_forward(model: EncoderModel, ids, attention_mask=None) -> Tensor:
+def encoder_forward(model: EncoderModel, ids) -> Tensor:
     """Run the full encoder over one sequence (S,) or a batch of equal-length
     sequences (B, S); returns (S, d) or (B, S, d) hidden states."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -405,13 +396,6 @@ def encoder_forward(model: EncoderModel, ids, attention_mask=None) -> Tensor:
     if seq_len > model.config.max_infer_len:
         raise ValueError(f"sequence length {seq_len} exceeds "
                          f"max_infer_len {model.config.max_infer_len}")
-    pad = None
-    if attention_mask is not None:
-        mask = np.asarray(attention_mask)
-        if mask.shape != ids.shape:
-            raise ValueError("attention_mask shape must match ids")
-        if (mask == 0).any():
-            pad = mask == 0
     eps = model.config.layer_norm_eps
 
     alibi = _alibi_stack(model.alibi.slopes, seq_len, model.embedding.table.dtype)
@@ -419,7 +403,7 @@ def encoder_forward(model: EncoderModel, ids, attention_mask=None) -> Tensor:
     h = embed_tokens(model.embedding, ids)
     for layer in model.layers:
         attn_in = _affine_norm(h, layer.ln1_gamma, layer.ln1_beta, eps)
-        h = ad.add(h, _attention(attn_in, layer, alibi, pad, model.config))
+        h = ad.add(h, _attention(attn_in, layer, alibi, model.config))
         ffn_in = _affine_norm(h, layer.ln2_gamma, layer.ln2_beta, eps)
         ffn = ad.matmul(ad.gelu(ad.add(ad.matmul(ffn_in, layer.w_ffn_in),
                                        layer.b_ffn_in)), layer.w_ffn_out)
@@ -427,30 +411,14 @@ def encoder_forward(model: EncoderModel, ids, attention_mask=None) -> Tensor:
     return _affine_norm(h, model.final_gamma, model.final_beta, eps)
 
 
-def mean_pool(hidden: Tensor, attention_mask=None) -> Tensor:
-    """Mean of each sequence's hidden states over its unmasked positions.
-
-    hidden is (S, d) or (B, S, d); a mask that leaves positions out is
-    taken only for a single sequence.
-    """
-    mask = None if attention_mask is None else np.asarray(attention_mask)
-    if mask is None or (mask == 1).all():
-        return ad.mean(hidden, axis=-2)
-    if hidden.ndim != 2:
-        raise ValueError("mean_pool over padded positions takes one sequence")
-    keep = np.flatnonzero(mask == 1)
-    if keep.size == 0:
-        raise ValueError("mean_pool with every position masked")
-    return ad.mean(ad.index_select(hidden, keep), axis=0)
-
-
-def embed_sequence(model: EncoderModel, ids, attention_mask=None) -> Tensor:
-    """Differentiable text embedding: forward, mean-pool, unit-normalize.
+def embed_sequence(model: EncoderModel, ids) -> Tensor:
+    """Differentiable text embedding: forward, mean over every position,
+    unit-normalize.
 
     ids is (S,) or (B, S); the result is (d,) or (B, d).
     """
-    hidden = encoder_forward(model, ids, attention_mask)
-    return ad.l2_normalize(mean_pool(hidden, attention_mask), axis=-1)
+    hidden = encoder_forward(model, ids)
+    return ad.l2_normalize(ad.mean(hidden, axis=-2), axis=-1)
 
 
 # Most floats one forward's (B, heads, S, S) attention weights may hold; a
@@ -581,8 +549,7 @@ def target_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor, targets) -> Tens
     return ad.add(gate_lp, ad.index_select(ad.concat(terms, axis=0), where))
 
 
-def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
-             attention_mask=None) -> Tensor:
+def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids) -> Tensor:
     """Cross-entropy at the masked positions.
 
     For one sequence (ids (S,), one set of positions) it is the mean over
@@ -594,8 +561,6 @@ def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
         ids, mask_positions, original_ids = ids[None], [mask_positions], [original_ids]
-        if attention_mask is not None:
-            attention_mask = np.asarray(attention_mask)[None]
     rows = [sorted(positions) for positions in mask_positions]
     if len(rows) != ids.shape[0]:
         raise ValueError(f"{len(rows)} position sets for {ids.shape[0]} sequences")
@@ -604,7 +569,7 @@ def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids,
     batch, seq_len = ids.shape
     flat = np.concatenate([b * seq_len + np.asarray(r, dtype=np.int64)
                            for b, r in enumerate(rows)])
-    hidden = encoder_forward(model, ids, attention_mask)
+    hidden = encoder_forward(model, ids)
     hidden = ad.reshape(hidden, (batch * seq_len, hidden.shape[-1]))
     head = model.mlm_head
     normed = _affine_norm(ad.index_select(hidden, flat), head.pre_norm_gamma,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -126,12 +126,9 @@ class EncodedSequence:
 
     ids: list[int]
     word_groups: list[tuple[int, int]]
-    attention_mask: list[int]
     special_positions: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if len(self.ids) != len(self.attention_mask):
-            raise ValueError("ids and attention_mask length mismatch")
         covered: set[int] = set(self.special_positions)
         prev_end = None
         for start, end in self.word_groups:
@@ -221,7 +218,7 @@ class TokenizerModel:
             start = len(ids)
             ids.extend(self.vocab.id_of[p] for p in pieces)
             groups.append((start, len(ids)))
-        return EncodedSequence(ids, groups, [1] * len(ids))
+        return EncodedSequence(ids, groups)
 
     def tokens(self, text: str) -> list[str]:
         """Token strings for ``text``; convenience over :meth:`encode`."""
@@ -267,7 +264,7 @@ def sequence_from_ids(vocab: Vocabulary, ids: Sequence[int]) -> EncodedSequence:
             start = pos
     if start is not None:
         groups.append((start, len(ids)))
-    return EncodedSequence(list(ids), groups, [1] * len(ids), frozenset(specials))
+    return EncodedSequence(list(ids), groups, frozenset(specials))
 
 
 def _strip_prefix(symbol: str, prefix: str) -> str:
@@ -389,16 +386,6 @@ def merge_vocabularies(base: Vocabulary, domain: Vocabulary) -> Vocabulary:
             tokens.append(tok)
             seen.add(tok)
     return Vocabulary(tokens, base.continuation_prefix, base.special_tokens)
-
-
-def filter_domain_terms(terms: Iterable[str], base: TokenizerModel) -> list[str]:
-    """Keep only terms the base tokenizer splits into two or more sub-tokens."""
-    kept = []
-    for term in terms:
-        n_pieces = sum(len(base.segment_word(w)) for w in pretokenize(term, base.lowercase))
-        if n_pieces >= 2:
-            kept.append(term)
-    return kept
 
 
 def count_subtokens(model: TokenizerModel, texts: Iterable[str]) -> tuple[int, int]:

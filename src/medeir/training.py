@@ -9,7 +9,6 @@ a model and writes a JSON-lines loss log plus a final checkpoint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -126,34 +125,17 @@ def select_whole_word_mask(seq: EncodedSequence, rate: float,
     return selected
 
 
-def apply_mask(seq: EncodedSequence, positions: Iterable[int], mask_id: int,
-               rng: np.random.Generator | None = None,
-               mask_prob: float = 1.0, random_prob: float = 0.0,
-               vocab_size: int | None = None) -> tuple[list[int], list[int]]:
-    """Corrupt ids at the given positions; return (corrupted, originals).
-
-    By default every selected position becomes mask_id. The classic
-    80/10/10 recipe is available through mask_prob/random_prob; whatever
-    probability remains keeps the original token.
-    """
-    if mask_prob + random_prob > 1.0 + 1e-9:
-        raise ValueError("mask_prob + random_prob must not exceed 1")
-    if random_prob > 0 and (rng is None or vocab_size is None):
-        raise ValueError("random replacement needs rng and vocab_size")
+def apply_mask(seq: EncodedSequence, positions: Iterable[int],
+               mask_id: int) -> tuple[list[int], list[int]]:
+    """Replace the ids at the given positions with mask_id; return
+    (corrupted, originals)."""
     valid = set(range(len(seq.ids))) - set(seq.special_positions)
     targets = list(seq.ids)
     corrupted = list(seq.ids)
     for pos in positions:
         if pos not in valid:
             raise ValueError(f"position {pos} is not a maskable index")
-        if mask_prob >= 1.0:
-            corrupted[pos] = mask_id
-            continue
-        roll = rng.random() if rng is not None else 0.0
-        if roll < mask_prob:
-            corrupted[pos] = mask_id
-        elif roll < mask_prob + random_prob:
-            corrupted[pos] = int(rng.integers(vocab_size))
+        corrupted[pos] = mask_id
     return corrupted, targets
 
 
@@ -305,6 +287,8 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
+        if self.global_batch < 1 or self.grad_accum < 1:
+            raise ValueError("global_batch and grad_accum must be >= 1")
         if self.global_batch % self.grad_accum != 0:
             raise ValueError("global_batch must be divisible by grad_accum")
         if self.total_steps < 1:
@@ -414,13 +398,13 @@ def _mlm_micro_loss(model: EncoderModel, batch: list[EncodedSequence],
         if not positions:
             continue
         corrupted, targets = apply_mask(seq, positions, mask_id)
-        masked.append((corrupted, positions, targets, seq.attention_mask))
+        masked.append((corrupted, positions, targets))
     if not masked:
         raise ValueError("no maskable sequences in batch")
     total = None
     for rows in length_groups([len(m[0]) for m in masked], model.config.heads):
-        corrupted, positions, targets, masks = zip(*(masked[i] for i in rows))
-        loss = ad.mul(mlm_loss(model, corrupted, positions, targets, masks),
+        corrupted, positions, targets = zip(*(masked[i] for i in rows))
+        loss = ad.mul(mlm_loss(model, corrupted, positions, targets),
                       len(rows) / len(masked))
         total = loss if total is None else ad.add(total, loss)
     return total, tokens

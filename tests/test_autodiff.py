@@ -326,16 +326,14 @@ class TestScalarDtype:
         assert ad.add(x, np.ones(3)).dtype == np.float64
 
 
-def attention_chain(q, k, v, bias, scale, key_pad):
+def attention_chain(q, k, v, bias, scale):
     """The composed op chain that ad.attention fuses."""
     logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
     logits = ad.add(logits, Tensor(bias))
-    if key_pad is not None:
-        logits = ad.masked_fill(logits, key_pad[None, None, :], -1e9)
     return ad.matmul(ad.softmax(logits, axis=-1), v)
 
 
-def _attention_inputs(dtype, seq_len, padded, seed=28):
+def _attention_inputs(dtype, seq_len, seed=28):
     rng = np.random.default_rng(seed)
     heads, dh = 3, 5
 
@@ -346,20 +344,18 @@ def _attention_inputs(dtype, seq_len, padded, seed=28):
     q, k, v = leaf(), leaf(), leaf()
     dist = np.abs(np.arange(seq_len)[:, None] - np.arange(seq_len)[None, :])
     bias = (-np.array([0.5, 0.25, 0.125])[:, None, None] * dist).astype(dtype)
-    key_pad = (np.arange(seq_len) % 3 == 2) if padded else None
     weights = rng.standard_normal((heads, seq_len, dh)).astype(dtype)
-    return q, k, v, bias, key_pad, weights
+    return q, k, v, bias, weights
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("seq_len,padded", [(1, False), (7, False), (7, True),
-                                            (37, False), (37, True)])
-def test_attention_is_bitwise_the_composed_chain(dtype, seq_len, padded):
+@pytest.mark.parametrize("seq_len", [1, 7, 37])
+def test_attention_is_bitwise_the_composed_chain(dtype, seq_len):
     scale = 1.0 / math.sqrt(5)
     results = []
     for op in (ad.attention, attention_chain):
-        q, k, v, bias, key_pad, weights = _attention_inputs(dtype, seq_len, padded)
-        out = op(q, k, v, bias, scale, key_pad)
+        q, k, v, bias, weights = _attention_inputs(dtype, seq_len)
+        out = op(q, k, v, bias, scale)
         backward(ad.sum_(ad.mul(out, weights)))
         results.append((out.data, q.grad, k.grad, v.grad))
     for fused, chain, name in zip(*results, ("out", "q", "k", "v")):
@@ -368,13 +364,12 @@ def test_attention_is_bitwise_the_composed_chain(dtype, seq_len, padded):
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
-@pytest.mark.parametrize("padded", [False, True], ids=["no_pad", "pad"])
-def test_attention_grad_check(which, padded):
-    q, k, v, bias, key_pad, weights = _attention_inputs(np.float64, 6, padded)
+def test_attention_grad_check(which):
+    q, k, v, bias, weights = _attention_inputs(np.float64, 6)
     inputs = [q, k, v]
 
     def f(t):
         args = inputs[:which] + [t] + inputs[which + 1:]
-        return ad.sum_(ad.mul(ad.attention(*args, bias, 0.4, key_pad), weights))
+        return ad.sum_(ad.mul(ad.attention(*args, bias, 0.4), weights))
 
     assert grad_check(f, inputs[which], h=1e-5) < 1e-6

@@ -120,6 +120,15 @@ class TestDataCommands:
         assert all(len(l["ids"]) == 8 for l in lines[:-1])
         assert all(isinstance(i, int) for l in lines for i in l["ids"])
 
+    def test_pack_min_tail_zero_exits_one(self, ws, tmp_path, capsys):
+        out = tmp_path / "chunks.jsonl"
+        rc = dispatch(["data", "pack", "--in", str(ws / "corpus.jsonl"),
+                       "--vocab", str(ws / "ckpt" / "vocab.txt"),
+                       "--out", str(out), "--chunk-len", "8", "--min-tail", "0"])
+        assert rc == 1
+        assert "min_tail must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_filter_drop_fraction(self, ws, tmp_path):
         out = tmp_path / "filtered.jsonl"
         rc = dispatch(["data", "filter", "--in", str(ws / "pairs.jsonl"),
@@ -250,6 +259,16 @@ class TestTrainCommands:
                        "--init", str(ws / "ckpt"), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "typo_key" in capsys.readouterr().err
+
+    def test_zero_grad_accum_exits_one(self, ws, tmp_path, capsys):
+        cfg = stage_config(tmp_path, "mlm", grad_accum=0)
+        out = tmp_path / "x"
+        rc = dispatch(["train", "mlm", "--config", str(cfg),
+                       "--data", str(ws / "pairs.jsonl"),
+                       "--init", str(ws / "ckpt"), "--out", str(out)])
+        assert rc == 1
+        assert "grad_accum must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEmbedCommand:

@@ -176,6 +176,15 @@ class TestPackChunks:
         with pytest.raises(ValueError):
             pack_chunks([], tok, chunk_len=8, min_tail=16)
 
+    @pytest.mark.parametrize("chunk_len,min_tail", [(8, 0), (0, 0), (8, -3)])
+    @pytest.mark.parametrize("n_docs", [0, 1])
+    def test_min_tail_below_one_rejected(self, n_docs, chunk_len, min_tail):
+        """min_tail 0 would emit an empty chunk; chunk_len 0 would never end."""
+        tok = word_tokenizer("a")
+        docs = [CorpusDocument(id="d", text="a a a")] * n_docs
+        with pytest.raises(ValueError, match="min_tail must be >= 1"):
+            pack_chunks(docs, tok, chunk_len=chunk_len, min_tail=min_tail)
+
 
 def angled_pairs(n: int) -> tuple[list[SentencePair], dict[str, np.ndarray]]:
     """n pairs whose similarities are cos(k degrees), k = 0..n-1 scaled."""

@@ -13,7 +13,6 @@ from medeir.evaluation import (
     ModelUnderTest,
     RetrievalDataset,
     compare_models,
-    cosine,
     dataset_scores,
     load_dataset,
     load_report,
@@ -48,23 +47,6 @@ def make_dataset(name="toy-ds", queries=None, corpus=None, qrels=None):
         corpus=corpus or {"d1": "a b", "d2": "c d"},
         qrels=qrels or {"q1": {"d1": 1}},
     )
-
-
-class TestCosine:
-    def test_identical_is_one(self):
-        v = np.array([0.6, 0.8])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_is_zero(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_forty_five_degrees(self):
-        b = np.array([1.0, 1.0]) / math.sqrt(2)
-        assert cosine(np.array([1.0, 0.0]), b) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
 
 class TestNdcg:

@@ -11,7 +11,6 @@ from medeir.model import (
     ModelConfig,
     _alibi_stack,
     adaptive_log_probs,
-    alibi_bias_matrix,
     alibi_slopes,
     build_model,
     embed_batch,
@@ -21,7 +20,6 @@ from medeir.model import (
     embed_tokens,
     encoder_forward,
     load_model,
-    mean_pool,
     mlm_loss,
     save_model,
     target_log_probs,
@@ -37,6 +35,12 @@ TOY = ModelConfig(vocab_size=40, hidden=32, layers=2, heads=4, ffn_dim=64,
 
 def toy_model(seed=0, dtype=np.float32, config=TOY):
     return build_model(config, seed=seed, dtype=dtype)
+
+
+def alibi_bias_matrix(seq_len: int, slope: float) -> np.ndarray:
+    """Reference symmetric encoder bias: entry (i, j) is -slope * |i - j|."""
+    idx = np.arange(seq_len)
+    return (-slope * np.abs(idx[:, None] - idx[None, :])).astype(np.float64)
 
 
 class TestModelConfig:
@@ -176,15 +180,6 @@ class TestEncoderForward:
         out = encoder_forward(m, np.arange(9) % TOY.vocab_size)
         assert out.shape == (9, TOY.hidden)
 
-    def test_pad_tail_content_is_irrelevant(self):
-        m = toy_model(seed=3)
-        ids_a = np.array([4, 9, 12, 7, 1, 2])
-        ids_b = np.array([4, 9, 12, 7, 2, 1])  # permuted pad-only tail
-        mask = np.array([1, 1, 1, 1, 0, 0])
-        out_a = encoder_forward(m, ids_a, mask).data[:4]
-        out_b = encoder_forward(m, ids_b, mask).data[:4]
-        assert np.allclose(out_a, out_b, atol=1e-5)
-
     def test_length_over_max_infer_rejected(self):
         m = toy_model()
         with pytest.raises(ValueError):
@@ -201,19 +196,15 @@ class TestEncoderForward:
             for dim in p.shape:
                 assert dim not in (TOY.max_train_len, TOY.max_infer_len), name
 
-    @pytest.mark.parametrize("padded", [False, True], ids=["no_pad", "pad"])
-    def test_fused_attention_matches_composed_chain(self, monkeypatch, padded):
+    def test_fused_attention_matches_composed_chain(self, monkeypatch):
         """The model's forward and gradients are bitwise those it gets when
         attention runs as the unfused chain of autodiff ops."""
         rng = np.random.default_rng(12)
         ids = rng.integers(0, TOY.vocab_size, 130)
-        mask = np.ones(130, dtype=np.int64)
-        if padded:
-            mask[-9:] = 0
 
         def run():
             m = toy_model(seed=4)
-            out = encoder_forward(m, ids, mask)
+            out = encoder_forward(m, ids)
             ad.backward(ad.sum_(ad.mul(out, out)))
             return [out.data] + [p.grad for p in m.named_parameters().values()]
 
@@ -236,9 +227,8 @@ class TestFloat32Model:
     def test_encoder_forward_and_losses_stay_float32(self):
         m = toy_model(seed=1)
         ids = np.array([3, 8, 2, 9, 14])
-        mask = np.array([1, 1, 1, 1, 0])
-        assert encoder_forward(m, ids, mask).dtype == np.float32
-        assert mlm_loss(m, ids, [1, 3], ids, mask).dtype == np.float32
+        assert encoder_forward(m, ids).dtype == np.float32
+        assert mlm_loss(m, ids, [1, 3], ids).dtype == np.float32
         q = ad.stack([embed_sequence(m, ids[:3]), embed_sequence(m, ids[1:])])
         p = ad.stack([embed_sequence(m, ids[2:]), embed_sequence(m, ids[:4])])
         assert q.dtype == np.float32
@@ -253,24 +243,6 @@ class TestFloat32Model:
         ids = np.array([3, 8, 2])
         assert encoder_forward(m, ids).dtype == np.float64
         assert mlm_loss(m, ids, [1], ids).dtype == np.float64
-
-
-class TestMeanPool:
-    def test_identical_rows(self):
-        h = Tensor(np.tile([1.0, 2.0], (4, 1)))
-        assert np.allclose(mean_pool(h, [1, 1, 1, 1]).data, [1.0, 2.0])
-
-    def test_single_unmasked_row(self):
-        h = Tensor(np.array([[1.0, 0.0], [5.0, 5.0]]))
-        assert np.allclose(mean_pool(h, [0, 1]).data, [5.0, 5.0])
-
-    def test_two_rows(self):
-        h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(mean_pool(h, [1, 1]).data, [0.5, 0.5])
-
-    def test_all_masked_rejected(self):
-        with pytest.raises(ValueError):
-            mean_pool(Tensor(np.ones((2, 2))), [0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -348,9 +320,9 @@ class TestEmbedBatch:
         calls = []
         real = model_module.encoder_forward
 
-        def counting(model, ids, attention_mask=None):
+        def counting(model, ids):
             calls.append(np.shape(ids))
-            return real(model, ids, attention_mask)
+            return real(model, ids)
 
         monkeypatch.setattr(model_module, "encoder_forward", counting)
         whole = embed_texts(model, tok, texts)

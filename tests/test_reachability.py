@@ -1,0 +1,93 @@
+"""Every public top-level function and class in the package is used by the
+program itself, not only by tests.
+
+A name counts as used when code under src/, scripts/ or perfbench/ refers
+to it, outside its own definition and outside an __all__ list, as a name,
+an attribute, an imported name or a string constant (perfbench wraps
+functions by attribute name). The few names kept on purpose for the tests
+are listed below, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "medeir"
+PROGRAM_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
+
+KEPT_FOR_TESTS = {
+    "autodiff.grad_check": "finite-difference gradient checks (criterion 03)",
+    "autodiff.tensor": "float64 inputs with an explicit dtype for criterion 03",
+    "model.adaptive_log_probs": "full-distribution reference for target_log_probs "
+                                "(criterion 05)",
+    "evaluation.load_report": "reads saved reports back in the CLI tests",
+    "fixtures.fixture_tokenizer": "bundled tokenizers for criteria 01 and 02",
+    "fixtures.mini_corpus_texts": "bundled corpus texts for criterion 02",
+    "smoke.synthetic_topic_pairs": "retrieval data for criterion 09",
+    "smoke.bigram_vocabulary": "synthetic language for criterion 06",
+    "smoke.bigram_sequences": "synthetic language for criterion 06",
+    "smoke.windowed_masked_ce": "length-extrapolation probe for criterion 06",
+}
+
+
+def _public_definitions() -> dict[str, str]:
+    """'module.name' -> name for each public top-level def or class."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                found[f"{path.stem}.{node.name}"] = node.name
+    return found
+
+
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+        isinstance(t, ast.Name) and t.id == "__all__"
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def _program_references() -> set[str]:
+    """Names referred to anywhere in the program's code; a top-level
+    definition's references to its own name do not count."""
+    refs = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if _is_all(node):
+                    continue
+                names = _names_in(node)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.discard(node.name)
+                refs |= names
+    return refs
+
+
+def test_every_public_definition_is_reachable():
+    refs = _program_references()
+    unused = sorted(key for key, name in _public_definitions().items()
+                    if name not in refs and key not in KEPT_FOR_TESTS)
+    assert not unused, ("public names that only tests (or nothing) use; delete "
+                        f"them or list them in KEPT_FOR_TESTS: {unused}")
+
+
+def test_kept_names_are_defined_and_unreachable():
+    definitions = _public_definitions()
+    refs = _program_references()
+    stale = sorted(key for key in KEPT_FOR_TESTS
+                   if key not in definitions or definitions[key] in refs)
+    assert not stale, f"undefined or reachable; drop them from KEPT_FOR_TESTS: {stale}"

@@ -9,7 +9,6 @@ from medeir.tokenizer import (
     TokenizerModel,
     Vocabulary,
     count_subtokens,
-    filter_domain_terms,
     merge_vocabularies,
     pretokenize,
     sequence_from_ids,
@@ -105,7 +104,6 @@ class TestSegmentation:
         toks = [model.vocab.token(i) for i in seq.ids]
         assert toks == ["a", "##b", "c", "##d"]
         assert seq.word_groups == [(0, 2), (2, 4)]
-        assert seq.attention_mask == [1, 1, 1, 1]
         assert seq.non_special_length() == 4
 
     def test_decode_round_trip(self):
@@ -130,11 +128,7 @@ class TestSegmentation:
 class TestEncodedSequenceValidation:
     def test_groups_must_partition_non_special_positions(self):
         with pytest.raises(ValueError):
-            EncodedSequence(ids=[5, 6], word_groups=[(0, 1)], attention_mask=[1, 1])
-
-    def test_mask_length_must_match(self):
-        with pytest.raises(ValueError):
-            EncodedSequence(ids=[5], word_groups=[(0, 1)], attention_mask=[1, 1])
+            EncodedSequence(ids=[5, 6], word_groups=[(0, 1)])
 
 
 class TestTraining:
@@ -200,13 +194,6 @@ class TestMerge:
                          special_tokens=("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[EXTRA]"))
         with pytest.raises(ValueError):
             merge_vocabularies(base, odd)
-
-
-class TestDomainFiltering:
-    def test_keeps_only_fragmented_terms(self):
-        base = TokenizerModel(small_vocab(extra=["pain"]))
-        kept = filter_domain_terms(["pain", "ibuprofen"], base)
-        assert kept == ["ibuprofen"]
 
 
 class TestComparison:
