@@ -403,16 +403,30 @@ def narrow(a, axis: int, start: int, end: int) -> Tensor:
 
 
 def index_select(a, indices) -> Tensor:
-    """Select rows along axis 0; gradients scatter-add back."""
+    """Select rows along axis 0; gradients scatter-add back.
+
+    The backward sums each selected row's gradients in index order. The
+    first gradient a receives is that sum scattered into zeros; a later one
+    sums into a buffer holding only the distinct rows, then adds that into
+    those rows of a.grad. No array the size of a is built beyond a.grad.
+    """
     a = _ensure(a)
     idx = np.asarray(indices, dtype=np.int64)
     out_data = np.take(a.data, idx, axis=0)
+    if idx.size and idx.min() < 0:
+        idx = idx % a.data.shape[0]
 
     def bw(out):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out.grad)
-            _accumulate(a, g)
+        if not a.requires_grad:
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, idx, out.grad)
+            return
+        rows, inverse = np.unique(idx, return_inverse=True)
+        g = np.zeros((rows.size,) + a.data.shape[1:], dtype=a.data.dtype)
+        np.add.at(g, inverse.reshape(idx.shape), out.grad)
+        a.grad[rows] += g
 
     return _make(out_data, (a,), bw)
 

@@ -9,6 +9,7 @@ a model and writes a JSON-lines loss log plus a final checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -58,8 +59,38 @@ def lr_at(schedule: ScheduleConfig, peak_lr: float, step: int) -> float:
 # ---------------------------------------------------------------------------
 # AdamW
 
+_BLOCK = 1 << 16  # elements per pass of the in-place update; 64 Ki measured fastest
+# Parameters this small are updated together as one flat array: one by one,
+# numpy's per-call overhead would cost more than their arithmetic.
+_SMALL = 1 << 12
+# Above this share of live rows, gathering and scattering them costs more
+# than the dense update of the whole parameter (measured on a 29.6k x 128 table).
+_SPARSE_SHARE = 0.25
+
+
+def _check_adam_settings(beta1: float, beta2: float, weight_decay: float) -> None:
+    """Reject settings under which an AdamW step writes NaN or inf."""
+    for name, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+    if not 0.0 <= weight_decay < math.inf:
+        raise ValueError(f"weight_decay must be non-negative and finite, "
+                         f"got {weight_decay!r}")
+
+
 @dataclass
 class OptimizerState:
+    """AdamW settings, the step count, and each parameter's moments m and v.
+
+    live[name], for a parameter with two or more dimensions and more than
+    _SMALL elements, marks the rows (along axis 0) whose gradient has been
+    nonzero at some step. Every other
+    row has m = v = +0.0 exactly, and while its gradient stays zero its
+    dense AdamW update reduces exactly to p -= lr * (wd*p + 0.0), which is
+    all adamw_step runs on it. Any mask that covers every row not +0.0 in
+    m or v is as exact, so moments given without a mask get one rebuilt
+    from them (_live_rows).
+    """
     beta1: float
     beta2: float
     eps: float = 1e-8
@@ -67,42 +98,157 @@ class OptimizerState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    live: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_adam_settings(self.beta1, self.beta2, self.weight_decay)
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+
+
+def _live_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows along axis 0 where m or v holds anything but +0.0."""
+    held = (m != 0) | np.signbit(m) | (v != 0)
+    return held.any(axis=tuple(range(1, held.ndim)))
+
+
+def _sparse_rows(state: OptimizerState, name: str, g: np.ndarray) -> np.ndarray | None:
+    """The live rows of a matrix once this step's gradient is counted, or
+    None when more than _SPARSE_SHARE of them are live."""
+    if name not in state.live:
+        state.live[name] = _live_rows(state.m[name], state.v[name])
+    live = state.live[name]
+    if live.all():
+        return None
+    live |= (g != 0).any(axis=tuple(range(1, g.ndim)))
+    rows = np.flatnonzero(live)
+    return rows if rows.size <= _SPARSE_SHARE * len(live) else None
+
+
+def _rows_per_block(a: np.ndarray) -> int:
+    """How many rows along axis 0 make a block of about _BLOCK elements."""
+    return max(1, _BLOCK // max(1, a[:1].size))
+
+
+def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 state: OptimizerState, lr_now: float) -> None:
+    """The dense AdamW update, in place, block by block along axis 0.
+
+    Each block runs the elementwise ops of
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr * (m/bias1 / (sqrt(v/bias2) + eps) + wd*p)
+    in this order with two scratch buffers, so the result is bitwise that
+    of the whole-array expressions.
+    """
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1 ** state.t
+    bias2 = 1.0 - b2 ** state.t
+    rows = _rows_per_block(p)
+    a, b = np.empty((2,) + p[:rows].shape, dtype=p.dtype)
+    for start in range(0, len(p), rows):
+        block = slice(start, start + rows)
+        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+        if len(pb) < len(a):
+            a, b = a[:len(pb)], b[:len(pb)]
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=a)
+        mb += a
+        vb *= b2
+        np.multiply(gb, 1.0 - b2, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, bias1, out=a)
+        np.divide(vb, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        np.multiply(pb, state.weight_decay, out=b)
+        a += b
+        a *= lr_now
+        pb -= a
+
+
+def _adam_update_together(ps: Sequence[np.ndarray], gs: Sequence[np.ndarray],
+                          ms: Sequence[np.ndarray], vs: Sequence[np.ndarray],
+                          state: OptimizerState, lr_now: float) -> None:
+    """The dense update of several arrays of one dtype, run on their
+    concatenation and written back to each."""
+    p, g, m, v = (np.concatenate([a.reshape(-1) for a in arrays])
+                  for arrays in (ps, gs, ms, vs))
+    _adam_update(p, g, m, v, state, lr_now)
+    start = 0
+    for arrays in zip(ps, ms, vs):
+        end = start + arrays[0].size
+        for dest, flat in zip(arrays, (p, m, v)):
+            dest[...] = flat[start:end].reshape(dest.shape)
+        start = end
+
+
+def _decay(p: np.ndarray, weight_decay: float, lr_now: float) -> None:
+    """p -= lr * (wd*p + 0.0) in place: the dense update of a row whose m, v
+    and gradient are zero. The + 0.0 turns a -0.0 product into +0.0, as the
+    dense update's 0/(0 + eps) term does."""
+    rows = _rows_per_block(p)
+    a = np.empty(p[:rows].shape, dtype=p.dtype)
+    for start in range(0, len(p), rows):
+        pb = p[start:start + rows]
+        if len(pb) < len(a):
+            a = a[:len(pb)]
+        np.multiply(pb, weight_decay, out=a)
+        a += 0.0
+        a *= lr_now
+        pb -= a
 
 
 def adamw_step(params: dict[str, Tensor], state: OptimizerState,
                lr_now: float) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
-    Rejects the whole step (no parameter or state mutation) if any gradient
-    contains a non-finite value.
+    Bitwise the dense update of every parameter. Parameters of at most
+    _SMALL elements are updated together as one flat array. A larger one
+    with two or more dimensions of which at most a quarter of the rows are
+    live (OptimizerState) runs the Adam arithmetic only on those rows;
+    every other row only decays. Rejects the whole step (no parameter or
+    state mutation) if any gradient contains a non-finite value or does
+    not match its parameter's shape and dtype.
     """
     grads = {}
     for name, p in params.items():
-        if p.grad is None:
+        g = p.grad
+        if g is None:
             continue
-        if not np.all(np.isfinite(p.grad)):
+        if g.shape != p.data.shape or g.dtype != p.data.dtype:
+            raise ValueError(f"gradient of {name!r} is {g.dtype}{list(g.shape)}, "
+                             f"parameter is {p.data.dtype}{list(p.data.shape)}")
+        if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient in {name!r}; step rejected")
-        grads[name] = p.grad
+        grads[name] = g
     state.t += 1
-    t = state.t
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    small: dict[np.dtype, list[tuple]] = {}
     for name, g in grads.items():
-        p = params[name]
+        p = params[name].data
         if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data -= lr_now * (m_hat / (np.sqrt(v_hat) + state.eps)
-                            + state.weight_decay * p.data)
+            # np.zeros leaves pages no live row touches unallocated
+            state.m[name] = np.zeros(p.shape, dtype=p.dtype)
+            state.v[name] = np.zeros(p.shape, dtype=p.dtype)
+            if p.ndim >= 2 and p.size > _SMALL:
+                state.live[name] = np.zeros(len(p), dtype=bool)
+        m, v = state.m[name], state.v[name]
+        if p.size <= _SMALL:
+            small.setdefault(p.dtype, []).append((p, g, m, v))
+            continue
+        rows = _sparse_rows(state, name, g) if p.ndim >= 2 else None
+        if rows is None:
+            _adam_update(p, g, m, v, state, lr_now)
+            continue
+        p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
+        _decay(p, state.weight_decay, lr_now)
+        _adam_update(p_rows, g[rows], m_rows, v_rows, state, lr_now)
+        p[rows] = p_rows
+        m[rows] = m_rows
+        v[rows] = v_rows
+    for group in small.values():
+        _adam_update_together(*zip(*group), state, lr_now)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +439,10 @@ class StageConfig:
             raise ValueError("global_batch must be divisible by grad_accum")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
+        _check_adam_settings(self.beta1, self.beta2, self.weight_decay)
+        if not 0.0 <= self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be non-negative and finite, "
+                             f"got {self.peak_lr!r}")
 
     @property
     def micro_batch(self) -> int:

@@ -231,6 +231,85 @@ def test_index_select_grad():
     assert err < 1e-6
 
 
+def dense_index_select(a, indices):
+    """The reference backward: scatter-add into a zero array of a's shape,
+    then add all of it into a.grad."""
+    idx = np.asarray(indices, dtype=np.int64)
+
+    def bw(out):
+        if a.requires_grad:
+            g = np.zeros_like(a.data)
+            np.add.at(g, idx, out.grad)
+            ad._accumulate(a, g)
+
+    return ad._make(np.take(a.data, idx, axis=0), (a,), bw)
+
+
+class TestIndexSelectBackward:
+    """The compact scatter-add gives bitwise the dense reference's grads."""
+
+    @staticmethod
+    def grads(build, select, dtype, seed=30):
+        rng = np.random.default_rng(seed)
+        leaves = [Tensor(rng.standard_normal((10, 3)).astype(dtype), requires_grad=True)
+                  for _ in range(2)]
+        backward(build(select, rng, *leaves))
+        return [leaf.grad for leaf in leaves]
+
+    def check(self, build, dtype):
+        got = self.grads(build, ad.index_select, dtype)
+        want = self.grads(build, dense_index_select, dtype)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or \
+                (g.dtype == w.dtype and g.tobytes() == w.tobytes())
+
+    @staticmethod
+    def weighted_sum(t, rng):
+        return ad.sum_(ad.mul(t, rng.standard_normal(t.shape).astype(t.dtype)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("idx", [[3, 0, 3, 7, 3, 0, 9],
+                                     [[1, 4, 1, 1], [4, 4, 9, 0]]],
+                             ids=["S", "BxS"])
+    def test_repeated_ids(self, idx, dtype):
+        self.check(lambda sel, rng, a, _: self.weighted_sum(sel(a, idx), rng), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_selects_of_one_leaf(self, dtype):
+        def build(sel, rng, a, b):
+            first = self.weighted_sum(sel(a, [[2, 5], [5, 5]]), rng)
+            second = self.weighted_sum(sel(a, [5, 8, 2, 2]), rng)
+            return ad.add(ad.add(first, second),
+                          self.weighted_sum(ad.matmul(a, ad.transpose(b)), rng))
+        self.check(build, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_leaf_input(self, dtype):
+        def build(sel, rng, a, b):
+            h = ad.mul(a, b)
+            picked = sel(h, [[7, 1, 7], [1, 1, 3]])
+            return ad.add(self.weighted_sum(picked, rng), self.weighted_sum(h, rng))
+        self.check(build, dtype)
+
+    def test_grad_check_batched_and_shared(self):
+        rng = np.random.default_rng(31)
+        x = rand64(rng, 6, 4)
+        c1 = rng.standard_normal((2, 3, 4))
+        c2 = rng.standard_normal((4, 4))
+
+        def f(t):
+            return ad.add(ad.sum_(ad.mul(ad.index_select(t, [[0, 5, 5], [2, 0, 5]]), c1)),
+                          ad.sum_(ad.mul(ad.index_select(t, [5, 1, 1, 0]), c2)))
+
+        assert grad_check(f, x, h=1e-5) < 1e-6
+
+    def test_negative_ids_wrap(self):
+        a = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3), requires_grad=True)
+        backward(ad.add(ad.sum_(ad.index_select(a, [-1, 3, 0])),
+                        ad.sum_(ad.index_select(a, [0, 3, -1]))))
+        assert np.array_equal(a.grad, [[2.0] * 3, [0.0] * 3, [0.0] * 3, [4.0] * 3])
+
+
 def test_pick_grad():
     rng = np.random.default_rng(21)
     x = rand64(rng, 4, 6)

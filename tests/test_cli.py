@@ -260,6 +260,23 @@ class TestTrainCommands:
         assert rc == 1
         assert "typo_key" in capsys.readouterr().err
 
+    def test_beta1_of_one_exits_one_without_checkpoint(self, ws, tmp_path, capsys):
+        # beta1 = 1 makes AdamW's bias correction 1 - beta1**t zero: every
+        # parameter would be written as NaN
+        chunks = tmp_path / "chunks.jsonl"
+        assert dispatch(["data", "pack", "--in", str(ws / "corpus.jsonl"),
+                         "--vocab", str(ws / "ckpt" / "vocab.txt"),
+                         "--out", str(chunks), "--chunk-len", "8",
+                         "--min-tail", "2"]) == 0
+        cfg = stage_config(tmp_path, "mlm", total_steps=1, beta1=1.0)
+        out = tmp_path / "ckpt_mlm"
+        rc = dispatch(["train", "mlm", "--config", str(cfg),
+                       "--data", str(chunks), "--init", str(ws / "ckpt"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "beta1 must be in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_grad_accum_exits_one(self, ws, tmp_path, capsys):
         cfg = stage_config(tmp_path, "mlm", grad_accum=0)
         out = tmp_path / "x"

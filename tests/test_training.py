@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from medeir import autodiff as ad
+from medeir import training
 from medeir.autodiff import Tensor, backward, grad_check
 from medeir.model import ModelConfig, build_model, embed_sequence, load_model, mlm_loss
 from medeir.tokenizer import (
@@ -15,6 +17,9 @@ from medeir.tokenizer import (
     Vocabulary,
 )
 from medeir.training import (
+    _BLOCK,
+    _SMALL,
+    _SPARSE_SHARE,
     _encode_batch,
     _encode_negatives,
     _mlm_micro_loss,
@@ -129,6 +134,210 @@ class TestAdamW:
         adamw_step({"w": w_accum}, state_accum, lr_now=0.05)
 
         assert w_full.data[0] == pytest.approx(w_accum.data[0], abs=1e-6)
+
+
+def dense_adamw_step(params, state, lr_now):
+    """The reference AdamW step: whole-array expressions on every parameter."""
+    grads = {}
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        if not np.all(np.isfinite(p.grad)):
+            raise ValueError(f"non-finite gradient in {name!r}; step rejected")
+        grads[name] = p.grad
+    state.t += 1
+    t = state.t
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for name, g in grads.items():
+        p = params[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / bias1
+        v_hat = v / bias2
+        p.data -= lr_now * (m_hat / (np.sqrt(v_hat) + state.eps)
+                            + state.weight_decay * p.data)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowSparseAdamW:
+    """adamw_step against the dense reference, bit for bit."""
+
+    # table, tail and big_table take the row-sparse path; bias, wide, small
+    # and other (of the other float dtype) are updated together as one flat
+    # array; big_dense is updated densely over more than one block.
+    SHAPES = {"table": (40, 120), "tail": (12, 400), "bias": (9,), "wide": (3, 4, 5),
+              "small": (7, 5), "other": (6,), "big_table": (700, 100),
+              "big_dense": (300, 256)}
+    # Row 0 is touched once and then never again; rows 3 and 4 never are.
+    TABLE_ROWS = [[0, 1, 2], [1, 2, 17], [2, 30, 30], [1, 2], [2, 21, 22], [1],
+                  [2, 39]]
+    BIG_ROWS = [[0], [5, 699], [], [5, 300, 301], [699], [5], [512, 513]]
+
+    @staticmethod
+    def dtype_of(name, dtype):
+        if name != "other":
+            return dtype
+        return np.float64 if dtype == np.float32 else np.float32
+
+    def params(self, dtype):
+        rng = np.random.default_rng(40)
+        params = {name: Tensor(rng.standard_normal(shape).astype(self.dtype_of(name, dtype)),
+                               requires_grad=True)
+                  for name, shape in self.SHAPES.items()}
+        params["table"].data[3] = -0.0          # an untouched row of -0.0 weights
+        params["table"].data[4, :2] = [-0.0, 0.0]
+        params["big_table"].data[600, 7] = -0.0
+        return params
+
+    def gradients(self, dtype):
+        rng = np.random.default_rng(41)
+        steps = []
+        for table_rows, big_rows in zip(self.TABLE_ROWS, self.BIG_ROWS):
+            grads = {name: rng.standard_normal(shape).astype(self.dtype_of(name, dtype))
+                     for name, shape in self.SHAPES.items()}
+            grads["tail"][:] = 0.0               # an MLM tail no target hit
+            for name, rows in (("table", table_rows), ("big_table", big_rows)):
+                keep = np.zeros(len(grads[name]), dtype=bool)
+                keep[rows] = True
+                grads[name][~keep] = 0.0
+            steps.append(grads)
+        return steps
+
+    def train(self, step_fn, dtype, steps=None):
+        params = self.params(dtype)
+        state = OptimizerState(beta1=0.9, beta2=0.98, weight_decay=0.05)
+        for i, grads in enumerate(steps or self.gradients(dtype)):
+            for name, p in params.items():
+                p.grad = grads[name]
+            step_fn(params, state, 0.02 * (i + 1))
+        return params, state
+
+    def assert_same(self, got, want):
+        (p_got, s_got), (p_want, s_want) = got, want
+        assert s_got.t == s_want.t
+        for name in self.SHAPES:
+            assert same_bits(p_got[name].data, p_want[name].data), name
+            assert same_bits(s_got.m[name], s_want.m[name]), name
+            assert same_bits(s_got.v[name], s_want.v[name]), name
+
+    def test_shapes_cover_each_path(self):
+        sizes = {name: math.prod(shape) for name, shape in self.SHAPES.items()}
+        assert sizes["big_table"] > _BLOCK and sizes["big_dense"] > _BLOCK
+        assert min(sizes["table"], sizes["tail"]) > _SMALL
+        assert max(sizes[n] for n in ("bias", "wide", "small", "other")) <= _SMALL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_dense(self, dtype):
+        got = self.train(adamw_step, dtype)
+        self.assert_same(got, self.train(dense_adamw_step, dtype))
+        params, state = got
+        assert np.signbit(params["table"].data[3]).all()
+        touched = sorted({r for rows in self.TABLE_ROWS for r in rows})
+        assert np.flatnonzero(state.live["table"]).tolist() == touched
+        assert state.live["table"].mean() <= _SPARSE_SHARE   # the row-sparse path ran
+        assert not state.live["tail"].any()
+        assert state.live.keys() == {"table", "tail", "big_table", "big_dense"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_live_mask_rebuilt_from_moments(self, dtype):
+        grads = self.gradients(dtype)
+        params, first = self.train(adamw_step, dtype, steps=grads[:3])
+        state = OptimizerState(beta1=0.9, beta2=0.98, weight_decay=0.05,
+                               t=first.t, m=first.m, v=first.v)
+        for i, step in enumerate(grads[3:], start=3):
+            for name, p in params.items():
+                p.grad = step[name]
+            adamw_step(params, state, 0.02 * (i + 1))
+        self.assert_same((params, state), self.train(dense_adamw_step, dtype))
+        assert np.array_equal(state.live["table"], first.live["table"]
+                              | np.isin(np.arange(40), [21, 22, 39]))
+        assert state.live.keys() == first.live.keys()
+
+    def test_rebuilt_mask_keeps_a_row_whose_m_is_negative_zero(self):
+        # a decaying m can underflow to -0.0; the dense update turns it into
+        # +0.0, so that row is live although m == 0 and v == 0 there
+        results = []
+        for step_fn in (adamw_step, dense_adamw_step):
+            shape = (12, 400)
+            m = np.zeros(shape, dtype=np.float32)
+            m[2, 1] = -0.0
+            w = Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+            w.grad = np.zeros(shape, dtype=np.float32)
+            w.grad[5] = 0.5
+            state = OptimizerState(beta1=0.9, beta2=0.98, t=4, m={"w": m},
+                                   v={"w": np.zeros(shape, dtype=np.float32)})
+            step_fn({"w": w}, state, 0.1)
+            results.append((w.data, state.m["w"], state.v["w"]))
+        for got, want in zip(*results):
+            assert same_bits(got, want)
+        assert not np.signbit(results[0][1][2, 1])
+
+    def test_non_finite_gradient_leaves_state_untouched(self):
+        dtype = np.float32
+        params, state = self.train(adamw_step, dtype, steps=self.gradients(dtype)[:2])
+        before = ({k: p.data.copy() for k, p in params.items()},
+                  {k: a.copy() for k, a in state.m.items()},
+                  {k: a.copy() for k, a in state.v.items()},
+                  {k: a.copy() for k, a in state.live.items()}, state.t)
+        grads = self.gradients(dtype)[2]
+        grads["big_dense"][1, 1] = np.inf        # the last parameter in order
+        for name, p in params.items():
+            p.grad = grads[name]
+        with pytest.raises(ValueError, match="big_dense"):
+            adamw_step(params, state, 0.1)
+        after = ({k: p.data for k, p in params.items()}, state.m, state.v,
+                 state.live, state.t)
+        for old, new in zip(before[:4], after[:4]):
+            assert old.keys() == new.keys()
+            assert all(same_bits(old[k], new[k]) for k in old)
+        assert after[4] == before[4]
+
+    def test_gradient_of_other_dtype_or_shape_rejected(self):
+        w = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        state = OptimizerState(beta1=0.9, beta2=0.98)
+        for grad in (np.ones((2, 3)), np.ones((3, 2), dtype=np.float32)):
+            w.grad = grad
+            with pytest.raises(ValueError, match="gradient of 'w'"):
+                adamw_step({"w": w}, state, 0.1)
+        assert state.t == 0 and not state.m
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", 1.5), ("beta2", math.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf),
+        ("weight_decay", -0.01), ("weight_decay", math.inf),
+        ("weight_decay", math.nan)])
+    def test_optimizer_state_rejects(self, field, value):
+        settings = {"beta1": 0.9, "beta2": 0.98, field: value}
+        with pytest.raises(ValueError, match=field):
+            OptimizerState(**settings)
+
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.0), ("beta2", math.nan),
+        ("weight_decay", -1e-3), ("weight_decay", math.inf),
+        ("peak_lr", -1e-4), ("peak_lr", math.inf), ("peak_lr", math.nan)])
+    def test_stage_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StageConfig.mlm_defaults(total_steps=2, **{field: value})
+
+    def test_edges_accepted(self):
+        OptimizerState(beta1=0.0, beta2=0.0, eps=1e-30, weight_decay=0.0)
+        StageConfig.mlm_defaults(total_steps=2, beta1=0.0, beta2=0.0,
+                                 weight_decay=0.0, peak_lr=0.0)
 
 
 def letters_vocab():
@@ -704,6 +913,49 @@ class TestRunStage:
 
         assert losses("hard_negative", [(q, p, []) for q, p in pairs]) \
             == losses("contrastive", pairs)
+
+    @pytest.mark.parametrize("stage", ["mlm", "contrastive"])
+    def test_row_sparse_adamw_matches_dense_over_a_stage(self, stage, monkeypatch):
+        # a vocabulary far larger than one step's tokens: 16-token texts, V = 2000
+        words = ["".join(t) for t in itertools.product("abcdefghijklmnopqrstuvwxyz",
+                                                       repeat=3)]
+        vocab = Vocabulary(list(SPECIAL_TOKENS) + words[:2000 - len(SPECIAL_TOKENS)])
+        tokenizer = TokenizerModel(vocab)
+        rng = np.random.default_rng(50)
+        texts = [" ".join(rng.choice(words[:1900], size=16)) for _ in range(32)]
+        if stage == "mlm":
+            cfg = StageConfig.mlm_defaults(total_steps=6, global_batch=4, grad_accum=2,
+                                           peak_lr=1e-2, max_len=32, seed=3)
+            data = [tokenizer.encode(t) for t in texts]
+        else:
+            cfg = StageConfig.contrastive_defaults(total_steps=6, global_batch=4,
+                                                   peak_lr=1e-2, max_len=32, seed=3)
+            data = [PairSource("s0", list(zip(texts[:16], texts[16:])))]
+
+        model_config = ModelConfig(vocab_size=len(vocab), hidden=16, layers=1,
+                                   heads=2, ffn_dim=24, num_projections=2,
+                                   max_train_len=32, max_infer_len=64)
+
+        def final_params():
+            model = build_model(model_config, seed=0)
+            run_stage(cfg, model, tokenizer, data)
+            return {k: p.data for k, p in model.named_parameters().items()}
+
+        decayed = []
+        decay = training._decay
+
+        def counting_decay(p, *args):
+            decayed.append(p.shape)
+            decay(p, *args)
+
+        monkeypatch.setattr(training, "_decay", counting_decay)
+        got = final_params()
+        assert decayed.count((len(vocab), 16)) == cfg.total_steps  # the table went sparse
+        monkeypatch.setattr(training, "adamw_step", dense_adamw_step)
+        want = final_params()
+        assert got.keys() == want.keys()
+        for name in got:
+            assert same_bits(got[name], want[name]), name
 
     def test_seeded_mlm_stage_is_reproducible(self):
         def final_params():
