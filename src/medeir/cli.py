@@ -122,7 +122,7 @@ def _cmd_tokenizer_compare(args) -> None:
     texts = [d.text for d in read_documents(Path(args.corpus))]
     report = tokenizer_compare(tok_a, tok_b, texts,
                                corpus_id=Path(args.corpus).name)
-    blob = report.to_dict()
+    blob = dataclasses.asdict(report)
     atomic_write_text(Path(args.report),
                       json.dumps(blob, indent=2, sort_keys=True) + "\n")
     print(f"tokens_base={blob['tokens_base']} tokens_merged={blob['tokens_merged']} "
@@ -197,14 +197,13 @@ def _cmd_train(args) -> None:
     stage = _STAGE_BY_COMMAND[args.stage_command]
     with open(args.config, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise UserError(f"stage config {args.config} is not a JSON object")
     blob.setdefault("stage", stage)
     if blob["stage"] != stage:
         raise UserError(f"config declares stage {blob['stage']!r} but the "
                         f"subcommand trains {stage!r}")
-    try:
-        config = StageConfig.from_dict(blob)
-    except TypeError as err:
-        raise UserError(f"invalid stage config: {err}") from err
+    config = StageConfig.from_dict(blob)
     model, tokenizer = _load_checkpoint(args.init)
     data = _load_stage_data(stage, Path(args.data), tokenizer.vocab)
     out = Path(args.out)

@@ -25,7 +25,7 @@ from .checkpoint import (atomic_write_bytes, atomic_write_text, read_jsonl,
                          write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
-from .tokenizer import TokenizerModel
+from .tokenizer import CONTINUATION_PREFIX, TokenizerModel
 
 REPORT_VERSION = 1
 
@@ -70,7 +70,9 @@ def default_cache_dir() -> Path | None:
 
 def tokenizer_fingerprint(tokenizer: TokenizerModel) -> str:
     payload = "\n".join(tokenizer.vocab.tokens).encode("utf-8")
-    extras = f"|{tokenizer.vocab.continuation_prefix}|{tokenizer.lowercase}"
+    # The suffix names the fixed continuation prefix and lowercasing; it stays
+    # in the hashed bytes so earlier cache keys and report hashes still match.
+    extras = f"|{CONTINUATION_PREFIX}|True"
     return hashlib.sha256(payload + extras.encode("utf-8")).hexdigest()
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -88,26 +88,15 @@ class ModelConfig:
             raise ValueError(f"last cutoff {cutoffs[-1]} != vocab size {self.vocab_size}")
         object.__setattr__(self, "adaptive_cutoffs", cutoffs)
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden": self.hidden,
-            "layers": self.layers,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "num_projections": self.num_projections,
-            "max_train_len": self.max_train_len,
-            "max_infer_len": self.max_infer_len,
-            "adaptive_cutoffs": list(self.adaptive_cutoffs),
-            "tail_reduction_factor": self.tail_reduction_factor,
-            "layer_norm_eps": self.layer_norm_eps,
-        }
-
     @classmethod
     def from_dict(cls, blob: dict) -> "ModelConfig":
-        blob = dict(blob)
-        blob["adaptive_cutoffs"] = tuple(blob.get("adaptive_cutoffs", ()))
-        return cls(**blob)
+        unknown = set(blob) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown ModelConfig keys: {sorted(unknown)}")
+        try:
+            return cls(**blob)
+        except TypeError as err:
+            raise ValueError(f"invalid ModelConfig: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +579,7 @@ def save_model(directory: Path, model: EncoderModel, vocab: Vocabulary) -> None:
     arrays["mlm.token_order"] = model.mlm_head.token_order
     save_arrays(directory, arrays)
     vocab.save(directory / "vocab.txt")
-    config_blob = model.config.to_dict()
+    config_blob = asdict(model.config)
     config_blob["format_version"] = MODEL_FORMAT_VERSION
     config_blob["vocab_sha256"] = file_hash(directory / "vocab.txt")
     atomic_write_text(directory / "config.json",

@@ -98,7 +98,7 @@ def bigram_stream(vocab: Vocabulary, length: int, seed: int,
     The resulting local structure is learnable by a short-context model at
     any sequence length.
     """
-    n_special = len(vocab.special_tokens)
+    n_special = len(SPECIAL_TOKENS)
     n_words = len(vocab) - n_special
     rng = np.random.default_rng(seed)
     state = int(rng.integers(0, n_words))

@@ -1,10 +1,12 @@
 """Domain-adapted WordPiece tokenization: training, vocabulary merging, encoding.
 
 The vocabulary convention is BERT-style: word-initial pieces are stored bare,
-word-internal pieces carry a continuation prefix (default ``##``). Training
-scores candidate merges by pair frequency divided by the product of the part
-frequencies; segmentation is greedy longest-match-first. Both are
-deterministic for fixed inputs.
+word-internal pieces carry the continuation prefix ``##``. The prefix, the
+five BERT special tokens and lowercasing are fixed: every vocabulary this
+package trains, merges or loads uses them. Training scores candidate merges
+by pair frequency divided by the product of the part frequencies;
+segmentation is greedy longest-match-first. Both are deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -19,16 +21,16 @@ from .checkpoint import atomic_write_text
 
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 CONTINUATION_PREFIX = "##"
+MAX_CHARS_PER_WORD = 100  # a longer word encodes as [UNK]
 
 PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN = SPECIAL_TOKENS
 
 
-def pretokenize(text: str, lowercase: bool = True) -> list[str]:
-    """Split on Unicode whitespace, then split punctuation off as separate words."""
-    if lowercase:
-        text = text.lower()
+def pretokenize(text: str) -> list[str]:
+    """Lowercase, split on Unicode whitespace, then split punctuation off as
+    separate words."""
     words: list[str] = []
-    for chunk in text.split():
+    for chunk in text.lower().split():
         buf: list[str] = []
         for ch in chunk:
             if unicodedata.category(ch).startswith("P"):
@@ -44,32 +46,23 @@ def pretokenize(text: str, lowercase: bool = True) -> list[str]:
 
 
 class Vocabulary:
-    """Ordered token inventory with contiguous ids and a continuation-prefix convention."""
+    """Ordered token inventory with contiguous ids; holds every special token."""
 
-    def __init__(
-        self,
-        tokens: Iterable[str],
-        continuation_prefix: str = CONTINUATION_PREFIX,
-        special_tokens: Sequence[str] = SPECIAL_TOKENS,
-    ):
+    def __init__(self, tokens: Iterable[str]):
         self.tokens = list(tokens)
-        self.continuation_prefix = continuation_prefix
-        self.special_tokens = tuple(special_tokens)
         self.id_of: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):
             if not tok:
                 raise ValueError("empty token string")
-            if tok == continuation_prefix:
+            if tok == CONTINUATION_PREFIX:
                 raise ValueError("bare continuation prefix is not a valid token")
             if tok in self.id_of:
                 raise ValueError(f"duplicate token {tok!r}")
             self.id_of[tok] = i
-        for sp in self.special_tokens:
+        for sp in SPECIAL_TOKENS:
             if sp not in self.id_of:
                 raise ValueError(f"special token {sp!r} missing from vocabulary")
-            if sp.startswith(continuation_prefix):
-                raise ValueError(f"special token {sp!r} collides with continuation prefix")
-        self._special_ids = frozenset(self.id_of[sp] for sp in self.special_tokens)
+        self._special_ids = frozenset(self.id_of[sp] for sp in SPECIAL_TOKENS)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -78,12 +71,7 @@ class Vocabulary:
         return token in self.id_of
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Vocabulary)
-            and self.tokens == other.tokens
-            and self.continuation_prefix == other.continuation_prefix
-            and self.special_tokens == other.special_tokens
-        )
+        return isinstance(other, Vocabulary) and self.tokens == other.tokens
 
     def token(self, token_id: int) -> str:
         if not 0 <= token_id < len(self.tokens):
@@ -94,26 +82,16 @@ class Vocabulary:
         return token_id in self._special_ids
 
     def is_continuation(self, token: str) -> bool:
-        return token.startswith(self.continuation_prefix)
-
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return self._special_ids
+        return token.startswith(CONTINUATION_PREFIX)
 
     def save(self, path: str | Path) -> None:
         """Write one token per line; the line number is the id."""
         atomic_write_text(Path(path), "\n".join(self.tokens) + "\n")
 
     @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        continuation_prefix: str = CONTINUATION_PREFIX,
-        special_tokens: Sequence[str] = SPECIAL_TOKENS,
-    ) -> "Vocabulary":
+    def load(cls, path: str | Path) -> "Vocabulary":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        tokens = [ln for ln in lines if ln]
-        return cls(tokens, continuation_prefix, special_tokens)
+        return cls(ln for ln in lines if ln)
 
 
 @dataclass
@@ -159,39 +137,17 @@ class TokenizerReport:
     fertility_base: float
     fertility_merged: float
 
-    def to_dict(self) -> dict:
-        return {
-            "corpus_id": self.corpus_id,
-            "tokens_base": self.tokens_base,
-            "tokens_merged": self.tokens_merged,
-            "reduction_pct": self.reduction_pct,
-            "fertility_base": self.fertility_base,
-            "fertility_merged": self.fertility_merged,
-        }
-
 
 class TokenizerModel:
     """Greedy longest-match WordPiece segmenter over a fixed vocabulary."""
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        max_chars_per_word: int = 100,
-        unk_token: str = UNK_TOKEN,
-        lowercase: bool = True,
-    ):
-        if unk_token not in vocab:
-            raise ValueError(f"unk token {unk_token!r} not in vocabulary")
+    def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
-        self.max_chars_per_word = max_chars_per_word
-        self.unk_token = unk_token
-        self.lowercase = lowercase
 
     def segment_word(self, word: str) -> list[str]:
         """Greedy longest-match segmentation of one word; [UNK] if it fails."""
-        if len(word) > self.max_chars_per_word:
-            return [self.unk_token]
-        prefix = self.vocab.continuation_prefix
+        if len(word) > MAX_CHARS_PER_WORD:
+            return [UNK_TOKEN]
         pieces: list[str] = []
         i = 0
         while i < len(word):
@@ -199,13 +155,13 @@ class TokenizerModel:
             match = None
             while end > i:
                 sub = word[i:end]
-                cand = sub if i == 0 else prefix + sub
+                cand = sub if i == 0 else CONTINUATION_PREFIX + sub
                 if cand in self.vocab:
                     match = cand
                     break
                 end -= 1
             if match is None:
-                return [self.unk_token]
+                return [UNK_TOKEN]
             pieces.append(match)
             i = end
         return pieces
@@ -213,7 +169,7 @@ class TokenizerModel:
     def encode(self, text: str) -> EncodedSequence:
         ids: list[int] = []
         groups: list[tuple[int, int]] = []
-        for word in pretokenize(text, self.lowercase):
+        for word in pretokenize(text):
             pieces = self.segment_word(word)
             start = len(ids)
             ids.extend(self.vocab.id_of[p] for p in pieces)
@@ -225,18 +181,15 @@ class TokenizerModel:
         return [self.vocab.token(i) for i in self.encode(text).ids]
 
     def decode(self, ids: Sequence[int]) -> str:
-        prefix = self.vocab.continuation_prefix
         words: list[str] = []
         for token_id in ids:
             tok = self.vocab.token(token_id)
             if self.vocab.is_special_id(token_id):
                 continue
-            if tok.startswith(prefix) and words:
-                words[-1] += tok[len(prefix):]
-            elif tok.startswith(prefix):
-                words.append(tok[len(prefix):])
+            if self.vocab.is_continuation(tok) and words:
+                words[-1] += tok.removeprefix(CONTINUATION_PREFIX)
             else:
-                words.append(tok)
+                words.append(tok.removeprefix(CONTINUATION_PREFIX))
         return " ".join(words)
 
 
@@ -267,17 +220,10 @@ def sequence_from_ids(vocab: Vocabulary, ids: Sequence[int]) -> EncodedSequence:
     return EncodedSequence(list(ids), groups, frozenset(specials))
 
 
-def _strip_prefix(symbol: str, prefix: str) -> str:
-    return symbol[len(prefix):] if symbol.startswith(prefix) else symbol
-
-
 def train_wordpiece(
     corpus: Iterable[str],
     target_size: int,
     min_frequency: int = 2,
-    lowercase: bool = True,
-    continuation_prefix: str = CONTINUATION_PREFIX,
-    special_tokens: Sequence[str] = SPECIAL_TOKENS,
 ) -> Vocabulary:
     """Learn a WordPiece vocabulary of at most ``target_size`` tokens.
 
@@ -288,15 +234,15 @@ def train_wordpiece(
     """
     word_counts: Counter[str] = Counter()
     for doc in corpus:
-        word_counts.update(pretokenize(doc, lowercase))
+        word_counts.update(pretokenize(doc))
     if not word_counts:
         raise ValueError("empty corpus")
 
     reps = {
-        w: [w[0]] + [continuation_prefix + ch for ch in w[1:]] for w in word_counts
+        w: [w[0]] + [CONTINUATION_PREFIX + ch for ch in w[1:]] for w in word_counts
     }
     alphabet = sorted({s for rep in reps.values() for s in rep})
-    base = list(special_tokens) + [s for s in alphabet if s not in special_tokens]
+    base = list(SPECIAL_TOKENS) + [s for s in alphabet if s not in SPECIAL_TOKENS]
     if target_size < len(base):
         raise ValueError(
             f"target_size {target_size} below specials + alphabet ({len(base)})"
@@ -352,8 +298,8 @@ def train_wordpiece(
                 continue
             num = pc
             den = sym_counts[pair[0]] * sym_counts[pair[1]]
-            merged = pair[0] + _strip_prefix(pair[1], continuation_prefix)
-            key = (_strip_prefix(merged, continuation_prefix), merged)
+            merged = pair[0] + pair[1].removeprefix(CONTINUATION_PREFIX)
+            key = (merged.removeprefix(CONTINUATION_PREFIX), merged)
             # compare num/den > best_num/best_den without floats
             if best_pair is None or num * best_den > best_num * den or (
                 num * best_den == best_num * den and key < best_key
@@ -370,22 +316,18 @@ def train_wordpiece(
         if best_merged not in vocab:
             vocab[best_merged] = None
 
-    return Vocabulary(list(vocab), continuation_prefix, special_tokens)
+    return Vocabulary(vocab)
 
 
 def merge_vocabularies(base: Vocabulary, domain: Vocabulary) -> Vocabulary:
     """Append domain tokens not already in ``base``; base ids are preserved."""
-    if base.continuation_prefix != domain.continuation_prefix:
-        raise ValueError("continuation prefixes differ")
-    if set(base.special_tokens) != set(domain.special_tokens):
-        raise ValueError("special-token sets differ")
     tokens = list(base.tokens)
     seen = set(tokens)
     for tok in domain.tokens:
         if tok not in seen:
             tokens.append(tok)
             seen.add(tok)
-    return Vocabulary(tokens, base.continuation_prefix, base.special_tokens)
+    return Vocabulary(tokens)
 
 
 def count_subtokens(model: TokenizerModel, texts: Iterable[str]) -> tuple[int, int]:

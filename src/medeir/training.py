@@ -4,13 +4,15 @@ pretraining, and hard-negative fine-tuning.
 Shared machinery lives here too: AdamW with decoupled weight decay, the
 linear warmup/decay schedule, whole-word mask selection, and the
 single-source batch sampler. run_stage drives any of the three stages over
-a model and writes a JSON-lines loss log plus a final checkpoint.
+a model and writes a JSON-lines loss log plus a final checkpoint. Both pair
+stages compute hard_negative_loss, which is InfoNCE for a batch whose items
+have no hard negatives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -343,23 +345,16 @@ def hard_negative_loss(q_embs: Tensor, p_embs: Tensor,
 
 @dataclass
 class PairBatch:
+    """One source's items; negatives[i] lists item i's hard negatives,
+    empty for a plain pair."""
     source_id: str
     queries: list
     positives: list
+    negatives: list
 
     def __post_init__(self):
-        if len(self.queries) != len(self.positives):
-            raise ValueError("queries and positives must align")
-
-
-@dataclass
-class TripletBatch(PairBatch):
-    negatives: list = field(default_factory=list)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.negatives) != len(self.queries):
-            raise ValueError("negatives must align with queries")
+        if not len(self.queries) == len(self.positives) == len(self.negatives):
+            raise ValueError("queries, positives and negatives must align")
 
 
 @dataclass
@@ -399,16 +394,10 @@ def single_source_sampler(sources: Sequence[PairSource], batch_size: int,
         positions[choice] = start + batch_size
         picked = [sources[choice].items[i]
                   for i in queues[choice][start:start + batch_size]]
-        source_id = sources[choice].source_id
-        if picked and len(picked[0]) == 3:
-            yield TripletBatch(source_id=source_id,
-                               queries=[it[0] for it in picked],
-                               positives=[it[1] for it in picked],
-                               negatives=[it[2] for it in picked])
-        else:
-            yield PairBatch(source_id=source_id,
-                            queries=[it[0] for it in picked],
-                            positives=[it[1] for it in picked])
+        yield PairBatch(source_id=sources[choice].source_id,
+                        queries=[it[0] for it in picked],
+                        positives=[it[1] for it in picked],
+                        negatives=[it[2] if len(it) == 3 else [] for it in picked])
 
 
 # ---------------------------------------------------------------------------
@@ -476,24 +465,15 @@ class StageConfig:
         base.update(overrides)
         return cls(**base)
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage, "total_steps": self.total_steps,
-            "peak_lr": self.peak_lr, "beta1": self.beta1, "beta2": self.beta2,
-            "global_batch": self.global_batch, "grad_accum": self.grad_accum,
-            "warmup_fraction": self.warmup_fraction,
-            "weight_decay": self.weight_decay, "max_len": self.max_len,
-            "mask_rate": self.mask_rate, "temperature": self.temperature,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, blob: dict) -> "StageConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(blob) - known
+        unknown = set(blob) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown StageConfig keys: {sorted(unknown)}")
-        return cls(**blob)
+        try:
+            return cls(**blob)
+        except TypeError as err:
+            raise ValueError(f"invalid StageConfig: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +555,11 @@ def run_stage(config: StageConfig, model: EncoderModel,
               log_path: Path | None = None) -> list[dict]:
     """Train one stage; returns the loss records it logged.
 
-    data is a sequence of EncodedSequence for the MLM stage, or a list of
-    PairSource for the contrastive and hard-negative stages. A finite MLM
-    stream may end early; a partial accumulation at the end is dropped and
-    noted in the log.
+    data is a sequence of EncodedSequence, none longer than config.max_len,
+    for the MLM stage, or a list of PairSource for the contrastive and
+    hard-negative stages; either pair stage trains on the negatives its items
+    carry. A finite MLM stream may end early; a partial accumulation at the
+    end is dropped and noted in the log.
     """
     rng = np.random.default_rng(config.seed)
     params = model.named_parameters()
@@ -607,6 +588,10 @@ def run_stage(config: StageConfig, model: EncoderModel,
                 stopped_early = True
                 break
             if config.stage == "mlm":
+                longest = max(len(seq.ids) for seq in batch)
+                if longest > config.max_len:
+                    raise ValueError(f"an MLM sequence of {longest} tokens exceeds "
+                                     f"max_len {config.max_len}")
                 loss, tokens = _mlm_micro_loss(model, batch, config.mask_rate,
                                                mask_id, rng)
             else:
@@ -615,16 +600,13 @@ def run_stage(config: StageConfig, model: EncoderModel,
                 p_embs, p_tokens = _encode_batch(model, tokenizer,
                                                  batch.positives, config.max_len)
                 tokens = q_tokens + p_tokens
-                if config.stage == "contrastive" or not isinstance(batch, TripletBatch):
-                    loss = info_nce_loss(q_embs, p_embs, config.temperature)
-                else:
-                    neg_embs = None
-                    if any(batch.negatives):
-                        neg_embs, n_tokens = _encode_negatives(
-                            model, tokenizer, batch.negatives, config.max_len)
-                        tokens += n_tokens
-                    loss = hard_negative_loss(q_embs, p_embs, neg_embs,
-                                              config.temperature)
+                neg_embs = None
+                if any(batch.negatives):
+                    neg_embs, n_tokens = _encode_negatives(
+                        model, tokenizer, batch.negatives, config.max_len)
+                    tokens += n_tokens
+                loss = hard_negative_loss(q_embs, p_embs, neg_embs,
+                                          config.temperature)
             scaled = ad.mul(loss, 1.0 / config.grad_accum)
             backward(scaled)
             step_loss += scaled.item()

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,30 @@ class TestTrainCommands:
         assert "beta1 must be in [0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mlm_chunks_longer_than_max_len_exit_one(self, ws, tmp_path, capsys):
+        chunks = tmp_path / "chunks.jsonl"
+        assert dispatch(["data", "pack", "--in", str(ws / "corpus.jsonl"),
+                         "--vocab", str(ws / "ckpt" / "vocab.txt"),
+                         "--out", str(chunks), "--chunk-len", "8",
+                         "--min-tail", "2"]) == 0
+        cfg = stage_config(tmp_path, "mlm", max_len=4)
+        out = tmp_path / "ckpt_mlm"
+        rc = dispatch(["train", "mlm", "--config", str(cfg),
+                       "--data", str(chunks), "--init", str(ws / "ckpt"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "exceeds max_len 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_not_an_object_exits_one(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        rc = dispatch(["train", "mlm", "--config", str(cfg),
+                       "--data", str(ws / "pairs.jsonl"),
+                       "--init", str(ws / "ckpt"), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "not a JSON object" in capsys.readouterr().err
+
     def test_zero_grad_accum_exits_one(self, ws, tmp_path, capsys):
         cfg = stage_config(tmp_path, "mlm", grad_accum=0)
         out = tmp_path / "x"
@@ -332,7 +357,27 @@ class TestEvalCommands:
         assert "ckpt2" in capsys.readouterr().out
 
 
+def edited_checkpoint(ws, tmp_path, **changes):
+    """A copy of the workspace checkpoint with config.json fields changed."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(ws / "ckpt", ckpt)
+    blob = json.loads((ckpt / "config.json").read_text())
+    blob.update(changes)
+    (ckpt / "config.json").write_text(json.dumps(blob))
+    return ckpt
+
+
 class TestExitCodes:
+    def test_checkpoint_config_with_unknown_key_exits_one(self, ws, tmp_path, capsys):
+        ckpt = edited_checkpoint(ws, tmp_path, dropout=0.1)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        assert "unknown ModelConfig keys: ['dropout']" in capsys.readouterr().err
+
+    def test_checkpoint_config_with_wrong_type_exits_one(self, ws, tmp_path, capsys):
+        ckpt = edited_checkpoint(ws, tmp_path, hidden="16")
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        assert "invalid ModelConfig" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one_with_usage(self, capsys):
         rc = dispatch(["tokenizer", "train", "--bogus", "x"])
         assert rc == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestModelConfig:
 
     def test_round_trip_dict(self):
         cfg = ModelConfig(vocab_size=100, hidden=64, heads=8)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
 class TestAlibi:
@@ -572,6 +573,29 @@ class TestMlmLoss:
             assert err < 1e-4, f"{name}: {err}"
 
 
+CONFIG_JSON = """\
+{
+  "vocab_size": 14,
+  "hidden": 16,
+  "layers": 1,
+  "heads": 2,
+  "ffn_dim": 24,
+  "num_projections": 4,
+  "max_train_len": 32,
+  "max_infer_len": 64,
+  "adaptive_cutoffs": [
+    3,
+    8,
+    14
+  ],
+  "tail_reduction_factor": 4,
+  "layer_norm_eps": 1e-12,
+  "format_version": 1,
+  "vocab_sha256": "6f61030f340651a3ef4fdf5b60c85a7cc2b9f077b07e08455e8f2b3343e90b2f"
+}
+"""
+
+
 class TestSaveLoad:
     def _vocab(self):
         letters = [chr(c) for c in range(ord("a"), ord("j"))]
@@ -596,6 +620,14 @@ class TestSaveLoad:
         a = encoder_forward(model, ids).data
         b = encoder_forward(loaded, ids).data
         assert np.array_equal(a, b)
+
+    def test_config_json_bytes(self, tmp_path):
+        # key order and layout are part of the checkpoint format
+        vocab = self._vocab()
+        cfg = ModelConfig(vocab_size=len(vocab), hidden=16, layers=1, heads=2,
+                          ffn_dim=24, max_train_len=32, max_infer_len=64)
+        save_model(tmp_path / "ckpt", build_model(cfg, seed=0), vocab)
+        assert (tmp_path / "ckpt" / "config.json").read_text() == CONFIG_JSON
 
     def test_load_draws_no_random_initialisation(self, tmp_path, monkeypatch):
         vocab = self._vocab()

@@ -1,11 +1,13 @@
-"""Every public top-level function and class in the package is used by the
-program itself, not only by tests.
+"""Every public top-level function and class in the package, and every
+public method and property of those classes, is used by the program itself,
+not only by tests.
 
 A name counts as used when code under src/, scripts/ or perfbench/ refers
 to it, outside its own definition and outside an __all__ list, as a name,
 an attribute, an imported name or a string constant (perfbench wraps
-functions by attribute name). The few names kept on purpose for the tests
-are listed below, each with its reason.
+functions by attribute name). Members are matched by their bare name, so a
+method counts as used when any attribute of that name is. The few names
+kept on purpose for the tests are listed below, each with its reason.
 """
 
 import ast
@@ -15,6 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "medeir"
 PROGRAM_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 
+_PAPER_STAGES = ("records the paper's stage hyperparameters; tests build "
+                 "configs from it")
 KEPT_FOR_TESTS = {
     "autodiff.grad_check": "finite-difference gradient checks (criterion 03)",
     "autodiff.tensor": "float64 inputs with an explicit dtype for criterion 03",
@@ -27,17 +31,30 @@ KEPT_FOR_TESTS = {
     "smoke.bigram_vocabulary": "synthetic language for criterion 06",
     "smoke.bigram_sequences": "synthetic language for criterion 06",
     "smoke.windowed_masked_ce": "length-extrapolation probe for criterion 06",
+    "training.StageConfig.mlm_defaults": _PAPER_STAGES,
+    "training.StageConfig.contrastive_defaults": _PAPER_STAGES,
+    "training.StageConfig.hard_negative_defaults": _PAPER_STAGES,
 }
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _public_definitions() -> dict[str, str]:
-    """'module.name' -> name for each public top-level def or class."""
+    """'module.name' -> name for each public top-level def or class, and
+    'module.Class.name' -> name for each public method or property of a
+    public class."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                found[f"{path.stem}.{node.name}"] = node.name
+            if not isinstance(node, _DEFS) or node.name.startswith("_"):
+                continue
+            found[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, _FUNCS) and not member.name.startswith("_"):
+                        found[f"{path.stem}.{node.name}.{member.name}"] = member.name
     return found
 
 
@@ -61,19 +78,28 @@ def _names_in(node: ast.AST) -> set[str]:
     return names
 
 
+def _references(node: ast.AST) -> set[str]:
+    """Names node refers to; the references of a top-level definition, or of
+    a method, to its own name do not count."""
+    if isinstance(node, ast.ClassDef):
+        names = set()
+        for part in (*node.bases, *node.keywords, *node.decorator_list, *node.body):
+            names |= _references(part)
+    else:
+        names = _names_in(node)
+    if isinstance(node, _DEFS):
+        names.discard(node.name)
+    return names
+
+
 def _program_references() -> set[str]:
-    """Names referred to anywhere in the program's code; a top-level
-    definition's references to its own name do not count."""
+    """Names referred to anywhere in the program's code."""
     refs = set()
     for directory in PROGRAM_DIRS:
         for path in sorted(directory.rglob("*.py")):
             for node in ast.parse(path.read_text(encoding="utf-8")).body:
-                if _is_all(node):
-                    continue
-                names = _names_in(node)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    names.discard(node.name)
-                refs |= names
+                if not _is_all(node):
+                    refs |= _references(node)
     return refs
 
 

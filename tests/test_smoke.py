@@ -14,6 +14,7 @@ from medeir.smoke import (
     synthetic_topic_pairs,
     windowed_masked_ce,
 )
+from medeir.tokenizer import SPECIAL_TOKENS
 
 
 class TestTopicPairs:
@@ -58,14 +59,14 @@ class TestBigramStream:
     def test_ids_in_word_range(self):
         vocab = bigram_vocabulary(10)
         stream = bigram_stream(vocab, 200, seed=0)
-        n_special = len(vocab.special_tokens)
+        n_special = len(SPECIAL_TOKENS)
         assert len(stream) == 200
         assert all(n_special <= i < len(vocab) for i in stream)
 
     def test_mostly_successor_transitions(self):
         vocab = bigram_vocabulary(12)
         stream = bigram_stream(vocab, 2000, seed=1, loop_prob=0.85)
-        n_special = len(vocab.special_tokens)
+        n_special = len(SPECIAL_TOKENS)
         succ = sum(1 for a, b in zip(stream, stream[1:])
                    if (b - n_special) == ((a - n_special) + 1) % 12)
         assert succ / (len(stream) - 1) > 0.8

@@ -34,9 +34,6 @@ class TestPretokenize:
     def test_interior_punctuation(self):
         assert pretokenize("dose-response") == ["dose", "-", "response"]
 
-    def test_lowercase_flag(self):
-        assert pretokenize("Hello", lowercase=False) == ["Hello"]
-
     def test_unicode_whitespace(self):
         assert pretokenize("a b\tc\nd") == ["a", "b", "c", "d"]
 
@@ -76,7 +73,8 @@ class TestVocabulary:
 
     def test_special_ids(self):
         v = small_vocab()
-        assert [v.token(i) for i in sorted(v.special_ids)] == list(SPECIAL_TOKENS)
+        specials = [i for i in range(len(v)) if v.is_special_id(i)]
+        assert [v.token(i) for i in specials] == list(SPECIAL_TOKENS)
 
 
 class TestSegmentation:
@@ -187,13 +185,6 @@ class TestMerge:
         once = merge_vocabularies(base, domain)
         twice = merge_vocabularies(once, domain)
         assert once == twice
-
-    def test_mismatched_specials_rejected(self):
-        base = small_vocab()
-        odd = Vocabulary(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[EXTRA]", "zz"],
-                         special_tokens=("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[EXTRA]"))
-        with pytest.raises(ValueError):
-            merge_vocabularies(base, odd)
 
 
 class TestComparison:

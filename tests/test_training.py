@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from medeir.training import (
     PairSource,
     ScheduleConfig,
     StageConfig,
-    TripletBatch,
     adamw_step,
     apply_mask,
     hard_negative_loss,
@@ -628,13 +628,18 @@ class TestSampler:
             next(single_source_sampler([PairSource("tiny", self.pairs("t", 3))],
                                        4, np.random.default_rng(0)))
 
-    def test_triples_yield_triplet_batches(self):
+    def test_triples_carry_their_negatives(self):
         items = [(f"q{i}", f"p{i}", [f"n{i}a", f"n{i}b"]) for i in range(6)]
         stream = single_source_sampler([PairSource("t", items)], 2,
                                        np.random.default_rng(0))
         batch = next(stream)
-        assert isinstance(batch, TripletBatch)
-        assert len(batch.negatives[0]) == 2
+        assert isinstance(batch, PairBatch)
+        assert [len(negs) for negs in batch.negatives] == [2, 2]
+
+    def test_pairs_carry_no_negatives(self):
+        stream = single_source_sampler([PairSource("p", self.pairs("p", 4))], 2,
+                                       np.random.default_rng(0))
+        assert next(stream).negatives == [[], []]
 
     def test_deterministic_for_seed(self):
         sources = [PairSource("a", self.pairs("a", 16)),
@@ -685,14 +690,20 @@ class TestStageConfig:
                         warmup_fraction=0.1)
 
     def test_from_dict_rejects_unknown_keys(self):
-        blob = StageConfig.mlm_defaults(total_steps=5).to_dict()
+        blob = asdict(StageConfig.mlm_defaults(total_steps=5))
         blob["bogus"] = 1
         with pytest.raises(ValueError):
             StageConfig.from_dict(blob)
 
+    def test_from_dict_reports_wrong_type_as_value_error(self):
+        blob = asdict(StageConfig.mlm_defaults(total_steps=5))
+        blob["total_steps"] = "5"
+        with pytest.raises(ValueError, match="invalid StageConfig"):
+            StageConfig.from_dict(blob)
+
     def test_round_trip(self):
         cfg = StageConfig.contrastive_defaults(total_steps=7, temperature=0.2)
-        assert StageConfig.from_dict(cfg.to_dict()) == cfg
+        assert StageConfig.from_dict(asdict(cfg)) == cfg
 
 
 def tiny_setup():
