@@ -548,7 +548,14 @@ def attention(q, k, v, bias, scale: float) -> Tensor:
     buffer that each step updates in place, and only the attention weights
     are kept for backward. The steps run in the order of the composed chain
     (matmul, mul, add, softmax, matmul), so values and gradients are bit for
-    bit those of that chain.
+    bit those of that chain, except that weights below tiny, the dtype's
+    smallest normal number, are exactly 0.
+
+    Subnormal weights would slow the exp, the divide and both products with
+    the weights many times over. So a shifted logit below log(tiny * S)
+    becomes -inf before the exp: a row's sum is at most S, so every weight
+    that stays nonzero is at least tiny. Long sequences under strong ALiBi
+    slopes have many such logits.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
     scale_arr = np.asarray(scale, dtype=q.dtype)
@@ -556,6 +563,8 @@ def attention(q, k, v, bias, scale: float) -> Tensor:
     att *= scale_arr
     att += np.asarray(bias, dtype=att.dtype)
     att -= att.max(axis=-1, keepdims=True)
+    floor = np.log(np.finfo(att.dtype).tiny * att.shape[-1])
+    np.copyto(att, -np.inf, where=att < floor)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
 

@@ -12,7 +12,8 @@ writes goes through atomic_write_bytes: the bytes go to a uniquely named
 temp file in the target's directory, which is fsynced and then renamed over
 the target, and removed again if anything fails, so a crash never leaves a
 half-written artifact behind. JSON-lines files are written by write_jsonl
-and read by read_jsonl.
+and read by read_jsonl. config_from_dict turns a JSON object read from a
+file into a config dataclass, checking each value's JSON type.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -36,6 +38,20 @@ _DTYPES = {
     "int32": "<i4",
 }
 _CANONICAL = {np.dtype(v): k for k, v in _DTYPES.items()}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a JSON value must be to fill a config field of each annotated type
+_JSON_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: isinstance(v, float) or _is_int(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple[int, ...]: ("a list of integers",
+                      lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -92,6 +108,25 @@ def read_jsonl(path: Path) -> Iterator[dict]:
                 raise ValueError(f"{path}:{line_no}: expected a JSON object, "
                                  f"got {type(row).__name__}")
             yield row
+
+
+def config_from_dict(cls: type, blob: dict):
+    """Build the dataclass cls from a JSON object; an unknown key, a value
+    of the wrong JSON type (a bool is not a number) or a missing field is a
+    ValueError."""
+    name = cls.__name__
+    unknown = set(blob) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for key, value in blob.items():
+        what, matches = _JSON_TYPES[hints[key]]
+        if not matches(value):
+            raise ValueError(f"invalid {name}: {key} must be {what}, got {value!r}")
+    try:
+        return cls(**blob)
+    except TypeError as err:
+        raise ValueError(f"invalid {name}: {err}") from err
 
 
 def save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> None:

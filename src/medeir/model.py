@@ -38,7 +38,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import atomic_write_text, file_hash, load_arrays, save_arrays
+from .checkpoint import (atomic_write_text, config_from_dict, file_hash, load_arrays,
+                         save_arrays)
 from .tokenizer import TokenizerModel, Vocabulary
 
 MODEL_FORMAT_VERSION = 1
@@ -90,13 +91,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "ModelConfig":
-        unknown = set(blob) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown ModelConfig keys: {sorted(unknown)}")
-        try:
-            return cls(**blob)
-        except TypeError as err:
-            raise ValueError(f"invalid ModelConfig: {err}") from err
+        return config_from_dict(cls, blob)
 
 
 # ---------------------------------------------------------------------------

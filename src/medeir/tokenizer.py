@@ -6,7 +6,9 @@ five BERT special tokens and lowercasing are fixed: every vocabulary this
 package trains, merges or loads uses them. Training scores candidate merges
 by pair frequency divided by the product of the part frequencies;
 segmentation is greedy longest-match-first. Both are deterministic for fixed
-inputs.
+inputs. A TokenizerModel segments each distinct word once and keeps its ids
+in a bounded per-instance memo; a vocabulary never changes after it is
+built, so the memo is exact.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .checkpoint import atomic_write_text
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 CONTINUATION_PREFIX = "##"
 MAX_CHARS_PER_WORD = 100  # a longer word encodes as [UNK]
+# distinct words a TokenizerModel memoizes; later new words are segmented
+# on every occurrence (about 10 MB of short words at the bound)
+_MEMO_WORDS = 1 << 16
 
 PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN = SPECIAL_TOKENS
 
@@ -31,6 +36,9 @@ def pretokenize(text: str) -> list[str]:
     separate words."""
     words: list[str] = []
     for chunk in text.lower().split():
+        if chunk.isalnum():  # letters and numbers only: no punctuation in it
+            words.append(chunk)
+            continue
         buf: list[str] = []
         for ch in chunk:
             if unicodedata.category(ch).startswith("P"):
@@ -107,19 +115,23 @@ class EncodedSequence:
     special_positions: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        covered: set[int] = set(self.special_positions)
-        prev_end = None
+        n = len(self.ids)
+        specials = self.special_positions
+        covered = prev_end = 0
         for start, end in self.word_groups:
-            if not 0 <= start < end <= len(self.ids):
+            if not 0 <= start < end <= n:
                 raise ValueError(f"bad word group span ({start}, {end})")
-            if prev_end is not None and start < prev_end:
+            if start < prev_end:
                 raise ValueError("word groups overlap or are unordered")
-            prev_end = end
-            span = set(range(start, end))
-            if span & set(self.special_positions):
+            if specials and not specials.isdisjoint(range(start, end)):
                 raise ValueError("word group overlaps a special position")
-            covered |= span
-        if covered != set(range(len(self.ids))):
+            covered += end - start
+            prev_end = end
+        # the groups are disjoint and hold no special position, so with the
+        # specials they cover 0..n-1 exactly when every special lies in that
+        # range and the counts add up to n
+        if covered + len(specials) != n or (
+                specials and not 0 <= min(specials) <= max(specials) < n):
             raise ValueError("word groups and specials do not partition the sequence")
 
     def non_special_length(self) -> int:
@@ -143,6 +155,7 @@ class TokenizerModel:
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
+        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     def segment_word(self, word: str) -> list[str]:
         """Greedy longest-match segmentation of one word; [UNK] if it fails."""
@@ -169,10 +182,15 @@ class TokenizerModel:
     def encode(self, text: str) -> EncodedSequence:
         ids: list[int] = []
         groups: list[tuple[int, int]] = []
+        memo = self._word_ids
         for word in pretokenize(text):
-            pieces = self.segment_word(word)
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = tuple(self.vocab.id_of[p] for p in self.segment_word(word))
+                if len(memo) < _MEMO_WORDS:
+                    memo[word] = word_ids
             start = len(ids)
-            ids.extend(self.vocab.id_of[p] for p in pieces)
+            ids.extend(word_ids)
             groups.append((start, len(ids)))
         return EncodedSequence(ids, groups)
 

@@ -12,7 +12,7 @@ have no hard negatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .checkpoint import write_jsonl
+from .checkpoint import config_from_dict, write_jsonl
 # embed_sequence is not called here; perfbench/spans.py wraps it by this name
 from .model import (EncoderModel, embed_batch, embed_sequence,  # noqa: F401
                     length_groups, mlm_loss, save_model)
@@ -467,13 +467,7 @@ class StageConfig:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "StageConfig":
-        unknown = set(blob) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown StageConfig keys: {sorted(unknown)}")
-        try:
-            return cls(**blob)
-        except TypeError as err:
-            raise ValueError(f"invalid StageConfig: {err}") from err
+        return config_from_dict(cls, blob)
 
 
 # ---------------------------------------------------------------------------

@@ -452,3 +452,49 @@ def test_attention_grad_check(which):
         return ad.sum_(ad.mul(ad.attention(*args, bias, 0.4), weights))
 
     assert grad_check(f, inputs[which], h=1e-5) < 1e-6
+
+
+def unflushed_attention(q, k, v, bias, scale):
+    """softmax(scale * q @ k^T + bias) @ v in numpy, in the fused op's order
+    but keeping every weight, subnormal or not; (output, weights)."""
+    att = np.matmul(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
+    att *= np.asarray(scale, dtype=att.dtype)
+    att += bias
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    return np.matmul(att, v), att
+
+
+def _alibi_inputs(seq_len, heads=4, dh=32):
+    """float32 q, k, v and the encoder's ALiBi bias for slopes 1/4, 1/16, ..."""
+    rng = np.random.default_rng(seq_len)
+    q, k, v = (rng.standard_normal((heads, seq_len, dh)).astype(np.float32)
+               for _ in range(3))
+    slopes = 2.0 ** (-2.0 * np.arange(1, heads + 1))
+    dist = np.abs(np.arange(seq_len)[:, None] - np.arange(seq_len)[None, :])
+    bias = (-slopes[:, None, None] * dist).astype(np.float32)
+    return q, k, v, bias
+
+
+@pytest.mark.parametrize("seq_len", [512, 1024, 1536])
+def test_attention_flush_keeps_long_alibi_outputs_bitwise(seq_len):
+    q, k, v, bias = _alibi_inputs(seq_len)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    want, weights = unflushed_attention(q, k, v, bias, scale)
+    tiny = np.finfo(np.float32).tiny
+    assert ((weights > 0) & (weights < tiny)).any()  # there is something to flush
+    with no_grad():
+        got = ad.attention(q, k, v, bias, scale)
+    assert np.array_equal(got.data, want)
+
+
+def test_attention_weights_are_never_subnormal():
+    seq_len = 1536
+    q, k, _, bias = _alibi_inputs(seq_len, heads=1)
+    eye = np.eye(seq_len, dtype=np.float32)
+    weights = ad.attention(q, k, eye[None], bias, 0.2).data  # (1, S, S) @ I
+    tiny = np.finfo(np.float32).tiny
+    assert not ((weights > 0) & (weights < tiny)).any()
+    assert (weights == 0).any()
+    assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-5)

@@ -302,6 +302,19 @@ class TestTrainCommands:
         assert rc == 1
         assert "not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", "0.05"), ("max_len", "128"), ("seed", 1.5),
+        ("total_steps", True), ("peak_lr", False)])
+    def test_wrongly_typed_field_exits_one(self, ws, tmp_path, capsys, field, value):
+        cfg = stage_config(tmp_path, "contrastive", **{field: value})
+        out = tmp_path / "x"
+        rc = dispatch(["train", "contrastive", "--config", str(cfg),
+                       "--data", str(ws / "pairs.jsonl"),
+                       "--init", str(ws / "ckpt"), "--out", str(out)])
+        assert rc == 1
+        assert f"invalid StageConfig: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_grad_accum_exits_one(self, ws, tmp_path, capsys):
         cfg = stage_config(tmp_path, "mlm", grad_accum=0)
         out = tmp_path / "x"
@@ -377,6 +390,15 @@ class TestExitCodes:
         ckpt = edited_checkpoint(ws, tmp_path, hidden="16")
         assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
         assert "invalid ModelConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("layers", "1"), ("hidden", True), ("layer_norm_eps", "1e-12"),
+        ("adaptive_cutoffs", [5, 13.0])])
+    def test_checkpoint_config_field_of_wrong_json_type_exits_one(
+            self, ws, tmp_path, capsys, field, value):
+        ckpt = edited_checkpoint(ws, tmp_path, **{field: value})
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        assert f"invalid ModelConfig: {field} must be" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one_with_usage(self, capsys):
         rc = dispatch(["tokenizer", "train", "--bogus", "x"])

@@ -1,9 +1,15 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medeir import tokenizer as tokenizer_module
+from medeir.datapipe import CorpusDocument, pack_chunks
+from medeir.fixtures import fixture_tokenizer, mini_corpus_texts
 from medeir.tokenizer import (
     CONTINUATION_PREFIX,
+    MAX_CHARS_PER_WORD,
     SPECIAL_TOKENS,
     EncodedSequence,
     TokenizerModel,
@@ -128,6 +134,52 @@ class TestEncodedSequenceValidation:
         with pytest.raises(ValueError):
             EncodedSequence(ids=[5, 6], word_groups=[(0, 1)])
 
+    @pytest.mark.parametrize("groups, specials, message", [
+        ([(0, 1), (2, 4)], (), "partition"),                # gap at 1
+        ([(0, 1), (3, 4)], {2}, "partition"),               # gap at 1 beside a special
+        ([(0, 2)], (), "partition"),                        # uncovered tail
+        ([(0, 2), (1, 4)], (), "overlap"),
+        ([(2, 4), (0, 2)], (), "overlap"),                  # unordered
+        ([(0, 2), (2, 3), (2, 4)], (), "overlap"),          # a group twice
+        ([(-1, 2), (2, 4)], (), "bad word group span"),
+        ([(0, 2), (2, 5)], (), "bad word group span"),
+        ([(0, 2), (2, 2), (2, 4)], (), "bad word group span"),  # empty group
+        ([(0, 2), (2, 4)], {3}, "overlaps a special"),
+        ([(0, 3)], {1, 3}, "overlaps a special"),
+        ([(0, 1), (2, 4)], {1, 4}, "partition"),            # 4 is past the end
+        ([(0, 1), (2, 3)], {1, 7}, "partition"),            # counts add up, 3 is uncovered
+        ([(0, 2), (2, 4)], {-1}, "partition"),
+    ])
+    def test_rejections(self, groups, specials, message):
+        with pytest.raises(ValueError, match=message):
+            EncodedSequence(ids=[5, 6, 7, 8], word_groups=groups,
+                            special_positions=frozenset(specials))
+
+    @pytest.mark.parametrize("groups, specials", [
+        ([(0, 4)], ()),
+        ([(0, 1), (1, 3), (3, 4)], ()),
+        ([], {0, 1, 2, 3}),
+        ([(1, 3)], {0, 3}),
+        ([(0, 1), (3, 4)], {1, 2}),
+    ])
+    def test_partitions_pass(self, groups, specials):
+        seq = EncodedSequence(ids=[5, 6, 7, 8], word_groups=groups,
+                              special_positions=frozenset(specials))
+        assert seq.non_special_length() == 4 - len(specials)
+
+    def test_empty_sequence(self):
+        assert EncodedSequence(ids=[], word_groups=[]).non_special_length() == 0
+
+    def test_packed_chunks_rebuild(self):
+        tok = fixture_tokenizer("merged")
+        docs = [CorpusDocument(f"d{i}", t) for i, t in enumerate(mini_corpus_texts())]
+        chunks = pack_chunks(docs, tok, chunk_len=64, min_tail=8)
+        sep = tok.vocab.id_of["[SEP]"]
+        assert any(sep in chunk for chunk in chunks)
+        for chunk in chunks:
+            seq = sequence_from_ids(tok.vocab, chunk)
+            assert seq.special_positions == {i for i, t in enumerate(chunk) if t == sep}
+
 
 class TestTraining:
     def test_learns_initial_pair_over_continuation_pair(self):
@@ -249,3 +301,105 @@ def test_merged_never_increases_subtokens(words):
     base_count = count_subtokens(TokenizerModel(base_vocab), corpus)
     merged_count = count_subtokens(TokenizerModel(merged), corpus)
     assert merged_count <= base_count
+
+
+# ---------------------------------------------------------------------------
+# the memoized encode against the plain per-word reference
+
+def reference_pretokenize(text):
+    """pretokenize as one loop over every character, with no fast path."""
+    words = []
+    for chunk in text.lower().split():
+        buf = []
+        for ch in chunk:
+            if unicodedata.category(ch).startswith("P"):
+                if buf:
+                    words.append("".join(buf))
+                    buf.clear()
+                words.append(ch)
+            else:
+                buf.append(ch)
+        if buf:
+            words.append("".join(buf))
+    return words
+
+
+def reference_encode(model, text):
+    """(ids, word groups) with every word segmented afresh."""
+    ids, groups = [], []
+    for word in reference_pretokenize(text):
+        start = len(ids)
+        ids.extend(model.vocab.id_of[p] for p in model.segment_word(word))
+        groups.append((start, len(ids)))
+    return ids, groups
+
+
+# Letters (ASCII, accented, German, Greek, Cyrillic, one that lowercases to
+# two characters), digits and other numbers, punctuation (P*), symbols (S*)
+# and a combining mark. Some are in MIXED_VOCAB, the rest make [UNK] words.
+MIXED_CHARS = ("abcdeABCDE" "éÉßΣσж" "İ" "0123" "²½" ",.-(«¿_—" "+$°©" "\u0301")
+MIXED_VOCAB = Vocabulary(
+    list(SPECIAL_TOKENS)
+    + ["a", "b", "c", "é", "σ", "1", "+", "°", "ab", "abc", "ca", "é1"]
+    + ["##a", "##b", "##c", "##é", "##σ", "##ς", "##1", "##2", "##+", "##bc", "##°"]
+    + [",", ".", "-", "(", "«", "_"])
+MIXED_WORDS = st.one_of(
+    st.text(alphabet=st.sampled_from(MIXED_CHARS), min_size=1, max_size=8),
+    st.text(alphabet=st.sampled_from("abc"), min_size=MAX_CHARS_PER_WORD - 1,
+            max_size=MAX_CHARS_PER_WORD + 3),
+)
+MIXED_TEXTS = st.lists(MIXED_WORDS, max_size=12).flatmap(
+    lambda words: st.lists(st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u3000"]),
+                           min_size=len(words), max_size=len(words)).map(
+        lambda seps: "".join(s + w for s, w in zip(seps, words))))
+SHARED_MODEL = TokenizerModel(MIXED_VOCAB)  # its memo carries over between examples
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(MIXED_TEXTS, min_size=1, max_size=3))
+def test_memoized_encode_matches_reference(texts):
+    fresh = TokenizerModel(MIXED_VOCAB)
+    for text in texts + texts:
+        want = reference_encode(fresh, text)
+        for model in (fresh, SHARED_MODEL):
+            seq = model.encode(text)
+            assert (seq.ids, seq.word_groups) == want, text
+
+
+def test_pretokenize_fast_path_on_overlong_and_unknown_words():
+    model = TokenizerModel(MIXED_VOCAB)
+    text = "ABC жж " + "a" * (MAX_CHARS_PER_WORD + 1) + " abc, " + "b" * MAX_CHARS_PER_WORD
+    assert pretokenize(text) == reference_pretokenize(text)
+    seq = model.encode(text)
+    assert (seq.ids, seq.word_groups) == reference_encode(model, text)
+    assert [model.vocab.token(i) for i in seq.ids][:4] == ["abc", "[UNK]", "[UNK]", "abc"]
+
+
+def test_alphanumeric_characters_are_never_punctuation():
+    # pretokenize keeps a chunk whole when chunk.isalnum(); that is only
+    # right if no alphanumeric character is in a P* category
+    for cp in range(0x110000):
+        ch = chr(cp)
+        if ch.isalnum():
+            assert not unicodedata.category(ch).startswith("P"), hex(cp)
+
+
+def test_tokenizers_with_different_vocabularies_share_no_memo():
+    whole = TokenizerModel(small_vocab(extra=["hello"]))
+    pieces = TokenizerModel(small_vocab())
+    assert [whole.vocab.token(i) for i in whole.encode("hello").ids] == ["hello"]
+    assert [pieces.vocab.token(i) for i in pieces.encode("hello").ids] == [
+        "h", "##e", "##l", "##l", "##o"]
+    assert [whole.vocab.token(i) for i in whole.encode("hello").ids] == ["hello"]
+    assert whole._word_ids is not pieces._word_ids
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(tokenizer_module, "_MEMO_WORDS", 3)
+    model = TokenizerModel(small_vocab())
+    text = "ab cd ef gh ij kl ab cd mn"
+    for _ in range(2):
+        seq = model.encode(text)
+        assert (seq.ids, seq.word_groups) == reference_encode(model, text)
+        assert len(model._word_ids) == 3
+    assert set(model._word_ids) == {"ab", "cd", "ef"}
