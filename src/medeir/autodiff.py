@@ -181,8 +181,12 @@ def _track(*tensors: Tensor) -> bool:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        assert g.shape == t.data.shape, (g.shape, t.data.shape)
+        # one pass; adding 0 turns a -0.0 gradient into +0.0, and a C-order
+        # grad keeps later BLAS calls on one path whatever g's strides are
+        t.grad = np.add(g, 0, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

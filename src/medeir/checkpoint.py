@@ -89,11 +89,16 @@ def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
                                     for row in rows))
 
 
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: Path) -> Iterator[dict]:
     """Yield the JSON object on each non-blank line of a UTF-8 file.
 
     A line that is not UTF-8 or does not hold a JSON object raises
-    ValueError naming path:line.
+    ValueError naming path:line. Each line is decoded by one call into the
+    C scanner; json.loads runs only on a line that fails, to raise the
+    decoder's own message.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -101,7 +106,12 @@ def read_jsonl(path: Path) -> Iterator[dict]:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                row = json.loads(line)
+                try:
+                    row, end = _RAW_DECODE(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    row = json.loads(line)
             except ValueError as err:
                 raise ValueError(f"{path}:{line_no}: invalid JSON line: {err}") from err
             if not isinstance(row, dict):

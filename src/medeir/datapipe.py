@@ -5,6 +5,10 @@ All dataset files are UTF-8 JSON-lines. Documents carry {"id", "text"} and
 optionally "source"; pairs carry {"query", "positive", "source_id"}; hard
 negatives add a "negatives" list. Cleaning is regex-grade on purpose (the
 inputs are abstracts, not arbitrary web pages).
+
+Mining scores every query against the distinct corpus texts at once with
+the scorer that retrieval evaluation ranks with (evaluation._top_k), in
+float64, so a mined record never repeats a negative.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .checkpoint import read_jsonl, write_jsonl
+from .evaluation import _top_k
 from .tokenizer import SEP_TOKEN, TokenizerModel
 
 Embedder = Callable[[str], np.ndarray]
@@ -179,8 +184,10 @@ def mine_hard_negatives(pairs: Sequence[SentencePair],
                         corpus: Sequence[str], embedder: Embedder,
                         per_query: int = 5,
                         band: tuple[float, float] = (0.3, 0.9)) -> list[HardNegativeRecord]:
-    """For each pair, the per_query highest-cosine corpus texts (to the
-    query) inside the similarity band, excluding the positive itself.
+    """For each pair, the per_query highest-cosine distinct corpus texts
+    (to the query) inside the inclusive similarity band, excluding the
+    positive itself. Cosines are float64; equal ones go to the text that
+    occurs first in the corpus.
 
     Queries with fewer than per_query in-band candidates yield a shorter,
     flagged record.
@@ -190,20 +197,22 @@ def mine_hard_negatives(pairs: Sequence[SentencePair],
     lo, hi = band
     if lo > hi:
         raise ValueError(f"empty similarity band {band}")
-    corpus = list(corpus)
-    corpus_embs = np.stack([np.asarray(embedder(t)) for t in corpus]) \
-        if corpus else np.zeros((0, 1))
+    texts = list(dict.fromkeys(corpus))
+    pairs = list(pairs)
+    if texts and pairs:
+        index = {text: i for i, text in enumerate(texts)}
+        chosen = _top_k(np.stack([np.asarray(embedder(p.query)) for p in pairs]),
+                        np.stack([np.asarray(embedder(t)) for t in texts]),
+                        per_query, band=band,
+                        exclude=[index.get(p.positive, -1) for p in pairs])
+    else:
+        chosen = [()] * len(pairs)
     records = []
-    for pair in pairs:
-        q = np.asarray(embedder(pair.query))
-        sims = corpus_embs @ q if corpus else np.zeros(0)
-        candidates = [(float(sims[i]), i) for i in range(len(corpus))
-                      if corpus[i] != pair.positive and lo <= sims[i] <= hi]
-        candidates.sort(key=lambda item: (-item[0], item[1]))
-        chosen = tuple(corpus[i] for _, i in candidates[:per_query])
+    for pair, top in zip(pairs, chosen):
+        negatives = tuple(texts[i] for i in top)
         records.append(HardNegativeRecord(
-            query=pair.query, positive=pair.positive, negatives=chosen,
-            source_id=pair.source_id, flagged=len(chosen) < per_query))
+            query=pair.query, positive=pair.positive, negatives=negatives,
+            source_id=pair.source_id, flagged=len(negatives) < per_query))
     return records
 
 

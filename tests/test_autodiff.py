@@ -498,3 +498,58 @@ def test_attention_weights_are_never_subnormal():
     assert not ((weights > 0) & (weights < tiny)).any()
     assert (weights == 0).any()
     assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-5)
+
+
+def zeros_then_add(t, g):
+    """The accumulate the one-pass first write replaced."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+class TestFirstGradientWrite:
+    def test_first_write_is_c_contiguous(self):
+        x = rand64(np.random.default_rng(5), 3, 4)
+        backward(ad.sum_(ad.mul(ad.transpose(x), 2.0)))
+        assert x.grad.flags.c_contiguous
+        assert np.array_equal(x.grad, np.full((3, 4), 2.0))
+
+    def test_negative_zero_becomes_positive_zero(self):
+        x = t64([1.0, 2.0, 3.0])
+        y = ad.mul(x, t64([-1.0, 2.0, -3.0], requires_grad=False))
+        backward(ad.sum_(ad.mul(y, t64([0.0, 0.0, 0.0], requires_grad=False))))
+        assert np.array_equal(x.grad, np.zeros(3))
+        assert not np.signbit(x.grad).any()
+
+    def test_shape_mismatch_rejected(self):
+        x = t64([1.0, 2.0])
+        with pytest.raises(AssertionError):
+            ad._accumulate(x, np.ones(1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_grads_bitwise_the_old_accumulate(self, monkeypatch, dtype):
+        from medeir.model import ModelConfig, build_model, embed_sequence, mlm_loss
+
+        config = ModelConfig(vocab_size=40, hidden=16, layers=2, heads=2, ffn_dim=32,
+                             num_projections=2, adaptive_cutoffs=(8, 20, 40),
+                             max_train_len=32, max_infer_len=64)
+        model = build_model(config, seed=2, dtype=dtype)
+        ids = np.array([[6, 1, 9, 2, 17, 3, 33, 5], [11, 7, 8, 12, 30, 6, 9, 14]])
+        corrupted = ids.copy()
+        corrupted[:, [1, 4]] = 4
+
+        def grads():
+            model.zero_grad()
+            emb = embed_sequence(model, ids)
+            loss = ad.add(mlm_loss(model, corrupted, [[1, 4], [1, 4]], ids),
+                          ad.sum_(ad.mul(emb, emb)))
+            backward(loss)
+            return {name: p.grad for name, p in model.named_parameters().items()}
+
+        new = grads()
+        monkeypatch.setattr(ad, "_accumulate", zeros_then_add)
+        old = grads()
+        assert new.keys() == old.keys()
+        for name in new:
+            assert new[name].dtype == old[name].dtype, name
+            assert new[name].tobytes() == old[name].tobytes(), name

@@ -1,9 +1,14 @@
 """The package's file I/O: the atomic writer, the JSON-lines helpers, and
 the exact bytes of every pipeline file written through them."""
 
+import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medeir import checkpoint
 from medeir.checkpoint import atomic_write_bytes, read_jsonl, write_jsonl
@@ -79,6 +84,66 @@ class TestReadJsonl:
         path.write_bytes(b'{"a": 1}\n\n' + bad + b"\n")
         with pytest.raises(ValueError, match="rows.jsonl:3"):
             list(read_jsonl(path))
+
+
+def loads_per_line(path):
+    """The reader before raw_decode: one json.loads per stripped line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: invalid JSON line: {err}") from err
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{line_no}: expected a JSON object, "
+                                 f"got {type(row).__name__}")
+            yield row
+
+
+def outcome(reader, path):
+    rows = []
+    try:
+        for row in reader(path):
+            rows.append(row)
+    except ValueError as err:
+        return rows, str(err)
+    return rows, None
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_VALUES = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(),
+                    st.none(), _TEXT)
+_OBJECTS = st.builds(lambda d, ascii_: json.dumps(d, ensure_ascii=ascii_),
+                     st.dictionaries(_TEXT, _VALUES, max_size=3), st.booleans())
+_NON_OBJECTS = st.builds(json.dumps, st.one_of(_VALUES, st.lists(_VALUES, max_size=3)))
+_PAD = st.sampled_from(["", " ", "\t", "\r", "\xa0", "\u2003", " \r\r", "\x0c"])
+_BAD_TAILS = st.sampled_from([" {}", "x", "]", "}", ",", " 1", "\ufeff"])
+_BODIES = st.one_of(
+    _OBJECTS,
+    _NON_OBJECTS,
+    st.builds(lambda obj, tail: obj + tail, _OBJECTS, _BAD_TAILS),  # extra data
+    _OBJECTS.map(lambda obj: obj[:-1]),                             # truncated
+    _OBJECTS.map(lambda obj: "\ufeff" + obj),                      # a UTF-8 BOM
+    st.just(""),
+)
+_LINES = st.one_of(
+    st.builds(lambda pre, body, post: (pre + body + post).encode("utf-8"),
+              _PAD, _BODIES, _PAD),
+    st.sampled_from([b"\xff", b'{"a": "\xff"}', b"{\"a\": 1}\xc3", b"\xef\xbb"]),
+)
+
+
+class TestReadJsonlMatchesLoadsPerLine:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LINES, max_size=8), st.booleans())
+    def test_same_rows_and_messages(self, lines, final_newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.jsonl"
+            path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
+            assert outcome(read_jsonl, path) == outcome(loads_per_line, path)
 
 
 class TestGoldenBytes:

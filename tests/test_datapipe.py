@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medeir import evaluation
 from medeir.datapipe import (
     CorpusDocument,
     HardNegativeRecord,
@@ -273,6 +274,24 @@ def banded_corpus() -> tuple[dict[str, np.ndarray], list[str]]:
     return table, list(sims)
 
 
+def reference_mine(pairs, corpus, embedder, per_query, band):
+    """The per-query mining loop the blocked scorer replaced: one product
+    per query, then a comprehension over every corpus text."""
+    lo, hi = band
+    corpus_embs = np.stack([np.asarray(embedder(t)) for t in corpus])
+    records = []
+    for pair in pairs:
+        sims = corpus_embs @ np.asarray(embedder(pair.query))
+        candidates = [(float(sims[i]), i) for i in range(len(corpus))
+                      if corpus[i] != pair.positive and lo <= sims[i] <= hi]
+        candidates.sort(key=lambda item: (-item[0], item[1]))
+        chosen = tuple(corpus[i] for _, i in candidates[:per_query])
+        records.append(HardNegativeRecord(
+            query=pair.query, positive=pair.positive, negatives=chosen,
+            source_id=pair.source_id, flagged=len(chosen) < per_query))
+    return records
+
+
 class TestMineHardNegatives:
     def test_top_candidates_within_band(self):
         table, corpus = banded_corpus()
@@ -324,6 +343,46 @@ class TestMineHardNegatives:
     def test_per_query_validated(self):
         with pytest.raises(ValueError):
             mine_hard_negatives([], [], preset_embedder({}), per_query=0)
+
+    def test_repeated_in_band_text_is_mined_once(self):
+        table, corpus = banded_corpus()
+        table["pos"] = unit([0.0, 1.0])
+        pairs = [SentencePair(query="q", positive="pos")]
+        repeated = ["s80", "s95", "s80", "s70", "s80", "s50", "s70", "s20"]
+        records = mine_hard_negatives(pairs, repeated, preset_embedder(table), per_query=3)
+        assert records[0].negatives == ("s80", "s70", "s50")
+        records = mine_hard_negatives(pairs, repeated, preset_embedder(table), per_query=4)
+        assert records[0].negatives == ("s80", "s70", "s50")
+        assert records[0].flagged
+
+    def test_equal_similarities_go_to_the_first_text(self):
+        table, corpus = banded_corpus()
+        table["pos"] = unit([0.0, 1.0])
+        table["also80"] = table["s80"]
+        pairs = [SentencePair(query="q", positive="pos")]
+        records = mine_hard_negatives(pairs, ["s70", "also80", "s80"],
+                                      preset_embedder(table), per_query=2)
+        assert records[0].negatives == ("also80", "s80")
+
+    @pytest.mark.parametrize("budget", [None, 1, 700])
+    def test_matches_the_per_query_reference(self, monkeypatch, budget):
+        rng = np.random.default_rng(19)
+        table = {f"t{i}": unit(v) for i, v in enumerate(rng.standard_normal((300, 6)))}
+        corpus = list(table)
+        queries = {f"q{i}": unit(v) for i, v in enumerate(rng.standard_normal((40, 6)))}
+        table.update(queries)
+        # every third positive is a corpus text; the others are not in it
+        pairs = [SentencePair(query=q, positive=corpus[3 * i] if i % 3 else "elsewhere",
+                              source_id=str(i))
+                 for i, q in enumerate(queries)]
+        table["elsewhere"] = unit(np.ones(6))
+        expected = reference_mine(pairs, corpus, preset_embedder(table), 5, (0.75, 0.95))
+        if budget is not None:
+            monkeypatch.setattr(evaluation, "_SCORE_FLOATS", budget)
+        got = mine_hard_negatives(pairs, corpus, preset_embedder(table), per_query=5,
+                                  band=(0.75, 0.95))
+        assert got == expected
+        assert any(r.flagged for r in got) and not all(r.flagged for r in got)
 
 
 class TestRecordTypes:

@@ -345,3 +345,84 @@ class TestEmbeddingCache:
         assert ev.default_cache_dir() == tmp_path / "c"
         monkeypatch.delenv("MEDEIR_CACHE")
         assert ev.default_cache_dir() is None
+
+
+def reference_top_k(queries, rows, k):
+    """The per-query ranking the blocked scorer replaced: a per-row float64
+    reduction over all rows, then a full stable argsort."""
+    rows = np.asarray(rows, dtype=np.float64)
+    out = []
+    for q in np.asarray(queries, dtype=np.float64):
+        sims = (rows * q).sum(axis=1)
+        out.append(np.argsort(-sims, kind="stable")[:k])
+    return out
+
+
+def assert_same_top_k(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.tolist() == e.tolist()
+
+
+class TestTopK:
+    @pytest.mark.parametrize("k", [1, 3, 10, 59, 60, 100])
+    def test_random_rows(self, k):
+        rng = np.random.default_rng(k)
+        rows = rng.standard_normal((60, 12)).astype(np.float32)
+        queries = rng.standard_normal((7, 12)).astype(np.float32)
+        assert_same_top_k(ev._top_k(queries, rows, k), reference_top_k(queries, rows, k))
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 30])
+    def test_duplicate_rows_tie_by_index(self, k):
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((6, 8))
+        rows = base[rng.integers(0, 6, size=30)]
+        queries = rng.standard_normal((5, 8))
+        got = ev._top_k(queries, rows, k)
+        assert_same_top_k(got, reference_top_k(queries, rows, k))
+        for top, q in zip(got, queries):
+            scores = rows[top] @ q
+            for a, b, sa, sb in zip(top, top[1:], scores, scores[1:]):
+                assert sa > sb or (np.array_equal(rows[a], rows[b]) and a < b)
+
+    def test_ties_straddling_the_kth_place(self):
+        # ranks 2..6 are five copies of one row; k = 4 cuts through them
+        q = np.array([[1.0, 0.0]])
+        rows = np.array([[0.2, 1.0], [0.5, 0.0], [0.9, 0.0], [0.5, 0.0], [0.1, 0.0],
+                         [0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.3, 0.0]])
+        assert ev._top_k(q, rows, 4)[0].tolist() == [2, 1, 3, 5]
+        assert ev._top_k(q, rows, 6)[0].tolist() == [2, 1, 3, 5, 6, 7]
+        assert_same_top_k(ev._top_k(q, rows, 4), reference_top_k(q, rows, 4))
+
+    @pytest.mark.parametrize("budget", [1, 50, 125])
+    def test_small_query_blocks(self, monkeypatch, budget):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((20, 6))
+        rows = base[rng.integers(0, 20, size=25)]
+        queries = rng.standard_normal((9, 6))
+        expected = reference_top_k(queries, rows, 5)
+        monkeypatch.setattr(ev, "_SCORE_FLOATS", budget)
+        assert_same_top_k(ev._top_k(queries, rows, 5), expected)
+
+    def test_band_and_exclude(self):
+        q = np.array([[1.0, 0.0], [1.0, 0.0]])
+        rows = np.array([[0.95, 0.0], [0.8, 0.0], [0.7, 0.0], [0.5, 0.0], [0.2, 0.0]])
+        got = ev._top_k(q, rows, 3, band=(0.3, 0.9), exclude=[-1, 1])
+        assert [t.tolist() for t in got] == [[1, 2, 3], [2, 3]]
+        # both band ends are inclusive
+        got = ev._top_k(q, rows, 5, band=(0.2, 0.8))
+        assert got[0].tolist() == [1, 2, 3, 4]
+
+    def test_retrieval_run_in_one_query_blocks(self, mut, monkeypatch):
+        ds = make_dataset(
+            queries={"q1": "a b", "q2": "g h", "q3": "c"},
+            corpus={f"d{i}": t for i, t in
+                    enumerate(["a c", "e f", "g a", "b h", "a c", "c", "e f"])},
+            qrels={"q1": {"d0": 1}},
+        )
+        expected = retrieval_run(mut, ds, k=7)
+        monkeypatch.setattr(ev, "_SCORE_FLOATS", 1)
+        assert retrieval_run(mut, ds, k=7) == expected
+        for ranked in expected.values():
+            assert ranked.index("d0") < ranked.index("d4")
+            assert ranked.index("d1") < ranked.index("d6")
