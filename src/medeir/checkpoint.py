@@ -12,8 +12,9 @@ writes goes through atomic_write_bytes: the bytes go to a uniquely named
 temp file in the target's directory, which is fsynced and then renamed over
 the target, and removed again if anything fails, so a crash never leaves a
 half-written artifact behind. JSON-lines files are written by write_jsonl
-and read by read_jsonl. config_from_dict turns a JSON object read from a
-file into a config dataclass, checking each value's JSON type.
+and read by read_jsonl; string_field reads one text field of a row.
+config_from_dict turns a JSON object read from a file into a config
+dataclass, checking each value's JSON type.
 """
 
 from __future__ import annotations
@@ -118,6 +119,19 @@ def read_jsonl(path: Path) -> Iterator[dict]:
                 raise ValueError(f"{path}:{line_no}: expected a JSON object, "
                                  f"got {type(row).__name__}")
             yield row
+
+
+def string_field(row: dict, key: str, path: Path, default: str | None = None) -> str:
+    """row[key], which must be a string; a missing key gives default, or a
+    ValueError naming path when default is None."""
+    if key not in row:
+        if default is None:
+            raise ValueError(f"{path}: a record has no {key!r} field")
+        return default
+    value = row[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{path}: {key!r} must be a string, got {value!r}")
+    return value
 
 
 def config_from_dict(cls: type, blob: dict):

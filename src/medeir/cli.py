@@ -82,14 +82,6 @@ def _embedder(model: EncoderModel, tokenizer: TokenizerModel,
     return dict(zip(distinct, embed_texts(model, tokenizer, distinct))).__getitem__
 
 
-def _limited(items: list, limit: int | None) -> list:
-    if limit is None:
-        return items
-    if limit < 1:
-        raise UserError("--limit must be >= 1")
-    return items[:limit]
-
-
 def _model_under_test(path: str) -> ModelUnderTest:
     model, tokenizer = _load_checkpoint(path)
     return ModelUnderTest(name=Path(path).name, model=model,
@@ -133,7 +125,7 @@ def _cmd_tokenizer_compare(args) -> None:
 # data commands
 
 def _cmd_data_clean(args) -> None:
-    docs = _limited(read_documents(Path(args.infile)), args.limit)
+    docs = read_documents(Path(args.infile))
     cleaned = [dataclasses.replace(d, text=clean_document(d.text)) for d in docs]
     cleaned = [d for d in cleaned if d.text]
     kept = dedup_corpus(cleaned)
@@ -142,7 +134,7 @@ def _cmd_data_clean(args) -> None:
 
 
 def _cmd_data_pack(args) -> None:
-    docs = _limited(read_documents(Path(args.infile)), args.limit)
+    docs = read_documents(Path(args.infile))
     tokenizer = TokenizerModel(Vocabulary.load(Path(args.vocab)))
     chunks = pack_chunks(docs, tokenizer, chunk_len=args.chunk_len,
                          min_tail=args.min_tail)
@@ -151,7 +143,7 @@ def _cmd_data_pack(args) -> None:
 
 
 def _cmd_data_filter(args) -> None:
-    pairs = _limited(read_pairs(Path(args.infile)), args.limit)
+    pairs = read_pairs(Path(args.infile))
     model, tokenizer = _load_checkpoint(args.model)
     embedder = _embedder(model, tokenizer,
                          [text for p in pairs for text in (p.query, p.positive)])
@@ -162,7 +154,7 @@ def _cmd_data_filter(args) -> None:
 
 
 def _cmd_data_mine(args) -> None:
-    pairs = _limited(read_pairs(Path(args.infile)), args.limit)
+    pairs = read_pairs(Path(args.infile))
     corpus = [d.text for d in read_documents(Path(args.corpus))]
     model, tokenizer = _load_checkpoint(args.model)
     embedder = _embedder(model, tokenizer, corpus + [p.query for p in pairs])
@@ -277,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = data_sub.add_parser("clean", help="clean and deduplicate documents")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--limit", type=int, default=None, help="use only the first N records")
     d.set_defaults(func=_cmd_data_clean)
     d = data_sub.add_parser("pack", help="pack documents into fixed-length id chunks")
     d.add_argument("--in", dest="infile", required=True)
@@ -285,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.add_argument("--chunk-len", type=int, default=512)
     d.add_argument("--min-tail", type=int, default=16)
-    d.add_argument("--limit", type=int, default=None)
     d.set_defaults(func=_cmd_data_pack)
     d = data_sub.add_parser("filter", help="filter pairs by embedding similarity")
     d.add_argument("--in", dest="infile", required=True)
@@ -294,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = d.add_mutually_exclusive_group(required=True)
     mode.add_argument("--threshold", type=float, default=None)
     mode.add_argument("--drop-fraction", type=float, default=None)
-    d.add_argument("--limit", type=int, default=None)
     d.set_defaults(func=_cmd_data_filter)
     d = data_sub.add_parser("mine", help="mine hard negatives for query/positive pairs")
     d.add_argument("--in", dest="infile", required=True, help="pairs JSONL")
@@ -304,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--per-query", type=int, default=5)
     d.add_argument("--band-lo", type=float, default=0.3)
     d.add_argument("--band-hi", type=float, default=0.9)
-    d.add_argument("--limit", type=int, default=None)
     d.set_defaults(func=_cmd_data_mine)
 
     train = sub.add_parser("train", help="run one training stage")

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .checkpoint import read_jsonl, write_jsonl
+from .checkpoint import read_jsonl, string_field, write_jsonl
 from .evaluation import _top_k
 from .tokenizer import SEP_TOKEN, TokenizerModel
 
@@ -142,16 +142,11 @@ def pack_chunks(docs: Sequence[CorpusDocument], tokenizer: TokenizerModel,
 # ---------------------------------------------------------------------------
 # pair filtering
 
-def _pair_similarity(pair: SentencePair, embedder: Embedder) -> float:
-    q = np.asarray(embedder(pair.query))
-    p = np.asarray(embedder(pair.positive))
-    return float(q @ p)
-
-
 def filter_pairs_by_similarity(pairs: Sequence[SentencePair], embedder: Embedder,
                                threshold: float | None = None,
                                drop_fraction: float | None = None) -> list[SentencePair]:
-    """Keep pairs by cosine similarity of their two embeddings.
+    """Keep pairs by cosine similarity of their two embeddings, a float64
+    dot product as in mining and ranking.
 
     Exactly one of threshold / drop_fraction selects the mode. Threshold
     keeps pairs with similarity >= threshold. drop_fraction removes the
@@ -163,8 +158,11 @@ def filter_pairs_by_similarity(pairs: Sequence[SentencePair], embedder: Embedder
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty pair list")
-    scored = [dataclasses.replace(p, similarity=_pair_similarity(p, embedder))
-              for p in pairs]
+    queries = np.asarray([embedder(p.query) for p in pairs], dtype=np.float64)
+    positives = np.asarray([embedder(p.positive) for p in pairs], dtype=np.float64)
+    similarities = np.einsum("ij,ij->i", queries, positives)
+    scored = [dataclasses.replace(p, similarity=float(sim))
+              for p, sim in zip(pairs, similarities)]
     if threshold is not None:
         return [p for p in scored if p.similarity >= threshold]
     if not 0.0 <= drop_fraction <= 1.0:
@@ -223,8 +221,8 @@ def read_documents(path: Path) -> list[CorpusDocument]:
     docs = []
     ids = set()
     for blob in read_jsonl(path):
-        doc = CorpusDocument(id=str(blob["id"]), text=blob["text"],
-                             source=blob.get("source", ""))
+        doc = CorpusDocument(id=str(blob["id"]), text=string_field(blob, "text", path),
+                             source=string_field(blob, "source", path, ""))
         if doc.id in ids:
             raise ValueError(f"duplicate document id {doc.id!r} in {path}")
         ids.add(doc.id)
@@ -239,8 +237,9 @@ def write_documents(path: Path, docs: Iterable[CorpusDocument]) -> None:
 
 
 def read_pairs(path: Path) -> list[SentencePair]:
-    return [SentencePair(query=blob["query"], positive=blob["positive"],
-                         source_id=blob.get("source_id", ""),
+    return [SentencePair(query=string_field(blob, "query", path),
+                         positive=string_field(blob, "positive", path),
+                         source_id=string_field(blob, "source_id", path, ""),
                          similarity=blob.get("similarity"))
             for blob in read_jsonl(path)]
 
@@ -254,11 +253,18 @@ def write_pairs(path: Path, pairs: Iterable[SentencePair]) -> None:
 
 
 def read_hard_negatives(path: Path) -> list[HardNegativeRecord]:
-    return [HardNegativeRecord(query=blob["query"], positive=blob["positive"],
-                               negatives=tuple(blob["negatives"]),
-                               source_id=blob.get("source_id", ""),
-                               flagged=blob.get("flagged", False))
-            for blob in read_jsonl(path)]
+    records = []
+    for blob in read_jsonl(path):
+        negatives = blob.get("negatives")
+        if not isinstance(negatives, list) or not all(isinstance(n, str) for n in negatives):
+            raise ValueError(f"{path}: 'negatives' must be a list of strings, "
+                             f"got {negatives!r}")
+        records.append(HardNegativeRecord(query=string_field(blob, "query", path),
+                                          positive=string_field(blob, "positive", path),
+                                          negatives=tuple(negatives),
+                                          source_id=string_field(blob, "source_id", path, ""),
+                                          flagged=blob.get("flagged", False)))
+    return records
 
 
 def write_hard_negatives(path: Path, records: Iterable[HardNegativeRecord]) -> None:

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .checkpoint import (atomic_write_bytes, atomic_write_text, read_jsonl,
-                         write_jsonl)
+                         string_field, write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
 from .tokenizer import CONTINUATION_PREFIX, TokenizerModel
@@ -347,22 +347,21 @@ def load_report(path: Path) -> EvalReport:
 # ---------------------------------------------------------------------------
 # dataset files
 
-def load_dataset(directory: Path, name: str | None = None) -> RetrievalDataset:
-    """Read a dataset directory. Its name is, in order of preference, the
-    name argument, the one dataset.json records, or the directory's name."""
+def load_dataset(directory: Path) -> RetrievalDataset:
+    """Read a dataset directory. Its name is the one dataset.json records,
+    or else the directory's name."""
     directory = Path(directory)
     queries = _read_id_text(directory / "queries.jsonl")
     corpus = _read_id_text(directory / "corpus.jsonl")
     qrels: dict[str, dict[str, int]] = {}
     for blob in read_jsonl(directory / "qrels.jsonl"):
         qrels.setdefault(str(blob["qid"]), {})[str(blob["did"])] = int(blob["rel"])
-    if name is None:
-        info = directory / "dataset.json"
-        if info.exists():
-            with open(info, "r", encoding="utf-8") as fh:
-                name = str(json.load(fh)["name"])
-        else:
-            name = directory.name
+    info = directory / "dataset.json"
+    if info.exists():
+        with open(info, "r", encoding="utf-8") as fh:
+            name = str(json.load(fh)["name"])
+    else:
+        name = directory.name
     return RetrievalDataset(name=name, queries=queries, corpus=corpus, qrels=qrels)
 
 
@@ -384,7 +383,7 @@ def _read_id_text(path: Path) -> dict[str, str]:
         key = str(blob["id"])
         if key in table:
             raise ValueError(f"duplicate id {key!r} in {path}")
-        table[key] = blob["text"]
+        table[key] = string_field(blob, "text", path)
     return table
 
 

@@ -42,7 +42,11 @@ from .checkpoint import (atomic_write_text, config_from_dict, file_hash, load_ar
                          save_arrays)
 from .tokenizer import TokenizerModel, Vocabulary
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# Each adaptive-softmax tail projects to hidden / _TAIL_REDUCTION ** (i + 1).
+_TAIL_REDUCTION = 4
+_LAYER_NORM_EPS = 1e-12
 
 
 def _default_cutoffs(vocab_size: int) -> tuple[int, ...]:
@@ -70,8 +74,6 @@ class ModelConfig:
     max_train_len: int = 512
     max_infer_len: int = 8192
     adaptive_cutoffs: tuple[int, ...] = ()
-    tail_reduction_factor: int = 4
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
         if self.vocab_size < 1:
@@ -161,7 +163,6 @@ class EncoderLayer:
     wq: Tensor
     bq: Tensor
     wk: Tensor
-    bk: Tensor
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -248,7 +249,7 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
              ("embedding.scorer", (k, d), "normal")]
     layer = {"ln1_gamma": ((d,), "ones"), "ln1_beta": ((d,), "zeros"),
              "wq": ((d, d), "normal"), "bq": ((d,), "zeros"),
-             "wk": ((d, d), "normal"), "bk": ((d,), "zeros"),
+             "wk": ((d, d), "normal"),
              "wv": ((d, d), "normal"), "bv": ((d,), "zeros"),
              "wo": ((d, d), "normal"), "bo": ((d,), "zeros"),
              "ln2_gamma": ((d,), "ones"), "ln2_beta": ((d,), "zeros"),
@@ -259,7 +260,7 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     cutoffs = config.adaptive_cutoffs
     n_tails = len(cutoffs) - 1
     for i in range(n_tails):
-        d_i = max(1, d // (config.tail_reduction_factor ** (i + 1)))
+        d_i = max(1, d // (_TAIL_REDUCTION ** (i + 1)))
         specs += [(f"mlm.tails.{i}.down", (d, d_i), "normal"),
                   (f"mlm.tails.{i}.out", (d_i, cutoffs[i + 1] - cutoffs[i]), "normal")]
     head_width = cutoffs[0] + n_tails
@@ -327,8 +328,8 @@ def build_model(config: ModelConfig, seed: int = 0,
 # ---------------------------------------------------------------------------
 # forward
 
-def _affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    return ad.add(ad.mul(ad.layer_norm(x, eps), gamma), beta)
+def _affine_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    return ad.add(ad.mul(ad.layer_norm(x, _LAYER_NORM_EPS), gamma), beta)
 
 
 def embed_tokens(embedding: MultiProjEmbedding, ids) -> Tensor:
@@ -362,7 +363,9 @@ def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: np.ndarray,
         return ad.transpose(ad.reshape(x, lead + (s, n, dh)), swap)
 
     q = heads_view(ad.add(ad.matmul(h, layer.wq), layer.bq))
-    key = heads_view(ad.add(ad.matmul(h, layer.wk), layer.bk))
+    # no key bias: it would add q . bk to every logit of a query, which the
+    # softmax over keys cancels
+    key = heads_view(ad.matmul(h, layer.wk))
     v = heads_view(ad.add(ad.matmul(h, layer.wv), layer.bv))
 
     ctx = ad.attention(q, key, v, alibi_bias, 1.0 / math.sqrt(dh))  # (..., n, S, dh)
@@ -380,19 +383,17 @@ def encoder_forward(model: EncoderModel, ids) -> Tensor:
     if seq_len > model.config.max_infer_len:
         raise ValueError(f"sequence length {seq_len} exceeds "
                          f"max_infer_len {model.config.max_infer_len}")
-    eps = model.config.layer_norm_eps
-
     alibi = _alibi_stack(model.alibi.slopes, seq_len, model.embedding.table.dtype)
 
     h = embed_tokens(model.embedding, ids)
     for layer in model.layers:
-        attn_in = _affine_norm(h, layer.ln1_gamma, layer.ln1_beta, eps)
+        attn_in = _affine_norm(h, layer.ln1_gamma, layer.ln1_beta)
         h = ad.add(h, _attention(attn_in, layer, alibi, model.config))
-        ffn_in = _affine_norm(h, layer.ln2_gamma, layer.ln2_beta, eps)
+        ffn_in = _affine_norm(h, layer.ln2_gamma, layer.ln2_beta)
         ffn = ad.matmul(ad.gelu(ad.add(ad.matmul(ffn_in, layer.w_ffn_in),
                                        layer.b_ffn_in)), layer.w_ffn_out)
         h = ad.add(h, ad.add(ffn, layer.b_ffn_out))
-    return _affine_norm(h, model.final_gamma, model.final_beta, eps)
+    return _affine_norm(h, model.final_gamma, model.final_beta)
 
 
 def embed_sequence(model: EncoderModel, ids) -> Tensor:
@@ -445,16 +446,22 @@ def embed_batch(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> Tenso
     return ad.index_select(out, np.argsort(order))
 
 
+def _token_ids(tokenizer: TokenizerModel, texts: Sequence[str],
+               limit: int) -> list[list[int]]:
+    """Each text's token ids cut to limit; a text with no tokens is an error."""
+    id_lists = []
+    for text in texts:
+        ids = tokenizer.encode(text).ids[:limit]
+        if not ids:
+            raise ValueError(f"text tokenized to nothing: {text[:40]!r}")
+        id_lists.append(ids)
+    return id_lists
+
+
 def embed_texts(model: EncoderModel, tokenizer: TokenizerModel,
                 texts: Sequence[str]) -> np.ndarray:
     """(n, d) unit embeddings of texts, each cut to max_infer_len tokens."""
-    limit = model.config.max_infer_len
-    id_lists = []
-    for text in texts:
-        ids = tokenizer.encode(text).ids
-        if not ids:
-            raise ValueError("text produced no tokens")
-        id_lists.append(ids[:limit])
+    id_lists = _token_ids(tokenizer, texts, model.config.max_infer_len)
     with ad.no_grad():
         return embed_batch(model, id_lists).data
 
@@ -557,7 +564,7 @@ def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids) -> Tensor:
     hidden = ad.reshape(hidden, (batch * seq_len, hidden.shape[-1]))
     head = model.mlm_head
     normed = _affine_norm(ad.index_select(hidden, flat), head.pre_norm_gamma,
-                          head.pre_norm_beta, model.config.layer_norm_eps)
+                          head.pre_norm_beta)
     targets = np.asarray(original_ids, dtype=np.int64).reshape(-1)[flat]
     log_probs = target_log_probs(head, normed, targets)
     counts = np.array([len(r) for r in rows])
@@ -587,8 +594,10 @@ def load_model(directory: Path) -> tuple[EncoderModel, Vocabulary]:
         blob = json.load(fh)
     if "format_version" not in blob:
         raise ValueError("model config missing format_version")
-    if blob.pop("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError("unsupported model format version")
+    version = blob.pop("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{directory} is a model format {version} checkpoint; "
+                         f"this medeir reads only model format {MODEL_FORMAT_VERSION}")
     stored_hash = blob.pop("vocab_sha256", None)
     vocab_path = directory / "vocab.txt"
     if stored_hash is not None and file_hash(vocab_path) != stored_hash:

@@ -22,8 +22,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .checkpoint import config_from_dict, write_jsonl
 # embed_sequence is not called here; perfbench/spans.py wraps it by this name
-from .model import (EncoderModel, embed_batch, embed_sequence,  # noqa: F401
-                    length_groups, mlm_loss, save_model)
+from .model import (EncoderModel, _token_ids, embed_batch,  # noqa: F401
+                    embed_sequence, length_groups, mlm_loss, save_model)
 from .tokenizer import MASK_TOKEN, EncodedSequence, TokenizerModel
 
 STAGES = ("mlm", "contrastive", "hard_negative")
@@ -476,12 +476,7 @@ class StageConfig:
 def _encode_batch(model: EncoderModel, tokenizer: TokenizerModel,
                   texts: Sequence[str], max_len: int) -> tuple[Tensor, int]:
     """(n, d) embeddings of texts cut to max_len tokens, and their token count."""
-    id_lists = []
-    for text in texts:
-        ids = tokenizer.encode(text).ids[:max_len]
-        if not ids:
-            raise ValueError(f"text tokenized to nothing: {text[:40]!r}")
-        id_lists.append(ids)
+    id_lists = _token_ids(tokenizer, texts, max_len)
     return embed_batch(model, id_lists), sum(len(ids) for ids in id_lists)
 
 

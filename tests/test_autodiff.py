@@ -385,7 +385,8 @@ class TestScalarDtype:
     def test_python_scalar_keeps_float32(self):
         x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
         for out in (ad.add(x, 0.5), ad.sub(x, 0.5), ad.mul(x, 0.5),
-                    ad.div(x, 3.0), ad.add(2, x), 1.0 - x, 0.5 * x, x / 4):
+                    ad.div(x, 3.0), ad.add(2, x), ad.sub(1.0, x), ad.mul(0.5, x),
+                    ad.div(x, 4), ad.div(1.0, x)):
             assert out.dtype == np.float32
         backward(ad.sum_(ad.mul(x, 1.0 / 3.0)))
         assert x.grad.dtype == np.float32
@@ -393,7 +394,8 @@ class TestScalarDtype:
     def test_python_scalar_keeps_float64(self):
         x = t64([[1.0, 2.0]])
         assert ad.mul(x, 0.5).dtype == np.float64
-        assert (1.0 - x).dtype == np.float64
+        for out in (ad.sub(1.0, x), ad.div(2, x), ad.mul(0.5, x)):
+            assert out.dtype == np.float64
 
     def test_scalar_value_rounds_to_tensor_dtype(self):
         x = Tensor(np.ones(3, dtype=np.float32))

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import medeir.cli as cli
+from medeir.checkpoint import load_arrays, save_arrays
 from medeir.cli import dispatch
 from medeir.datapipe import read_documents, read_hard_negatives, read_pairs
 from medeir.evaluation import load_report
@@ -158,13 +161,6 @@ class TestDataCommands:
         assert len(records) == 4
         assert all(len(r.negatives) <= 2 for r in records)
         assert all(r.positive not in r.negatives for r in records)
-
-    def test_limit_takes_first_records(self, ws, tmp_path):
-        out = tmp_path / "limited.jsonl"
-        rc = dispatch(["data", "clean", "--in", str(ws / "corpus.jsonl"),
-                       "--out", str(out), "--limit", "3"])
-        assert rc == 0
-        assert len(read_documents(out)) == 3
 
 
 def stage_config(tmp_path, stage, **overrides):
@@ -392,13 +388,34 @@ class TestExitCodes:
         assert "invalid ModelConfig" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("layers", "1"), ("hidden", True), ("layer_norm_eps", "1e-12"),
-        ("adaptive_cutoffs", [5, 13.0])])
+        ("layers", "1"), ("hidden", True), ("adaptive_cutoffs", [5, 13.0])])
     def test_checkpoint_config_field_of_wrong_json_type_exits_one(
             self, ws, tmp_path, capsys, field, value):
         ckpt = edited_checkpoint(ws, tmp_path, **{field: value})
         assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
         assert f"invalid ModelConfig: {field} must be" in capsys.readouterr().err
+
+    def test_format_one_checkpoint_exits_one_naming_both_versions(
+            self, ws, tmp_path, capsys):
+        # a format-1 checkpoint: each layer's key bias and two more config keys
+        ckpt = edited_checkpoint(ws, tmp_path, format_version=1,
+                                 tail_reduction_factor=4, layer_norm_eps=1e-12)
+        arrays = load_arrays(ckpt)
+        arrays["layers.0.bk"] = np.zeros(16, dtype=np.float32)
+        save_arrays(ckpt, arrays)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "model format 1" in err and "model format 2" in err
+
+    def test_text_that_is_not_a_string_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "raw.jsonl"
+        src.write_text('{"id": 1, "text": 123}\n')
+        rc = dispatch(["data", "clean", "--in", str(src),
+                       "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err and str(src) in err
 
     def test_unknown_flag_exits_one_with_usage(self, capsys):
         rc = dispatch(["tokenizer", "train", "--bogus", "x"])
@@ -440,3 +457,24 @@ class TestExitCodes:
         ns = argparse.Namespace(func=boom)
         assert cli._execute(ns) == 2
         assert "internal error" in capsys.readouterr().err
+
+
+def readme_commands() -> list[str]:
+    """Every line of README.md's code blocks that runs the medeir command."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("medeir ")]
+
+
+def test_readme_commands_parse():
+    lines = readme_commands()
+    # the README shows every command group
+    assert {shlex.split(line)[1] for line in lines} == {
+        "tokenizer", "data", "train", "embed", "eval"}
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except cli.UserError as err:
+            pytest.fail(f"README command does not parse: {line}\n{err}")

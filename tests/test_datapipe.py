@@ -1,6 +1,8 @@
 """Corpus pipeline tests: cleaning, dedup, packing, filtering, mining."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +253,19 @@ class TestFilterPairs:
         kept = filter_pairs_by_similarity(pairs, preset_embedder(table), drop_fraction=1 / 3)
         assert [p.source_id for p in kept] == ["second", ""]
 
+    def test_similarity_is_the_float64_dot_product(self):
+        # float32 embeddings, as the model gives them; their float32 dot
+        # product would be off by about 1e-8
+        rng = np.random.default_rng(3)
+        vecs = rng.standard_normal((6, 64)).astype(np.float32)
+        table = {f"t{i}": v / np.linalg.norm(v) for i, v in enumerate(vecs)}
+        pairs = [SentencePair(query=f"t{i}", positive=f"t{i + 3}") for i in range(3)]
+        kept = filter_pairs_by_similarity(pairs, preset_embedder(table), threshold=-1.0)
+        for pair in kept:
+            q, p = table[pair.query], table[pair.positive]
+            exact = math.fsum(float(a) * float(b) for a, b in zip(q, p))
+            assert abs(pair.similarity - exact) <= 1e-15
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             filter_pairs_by_similarity([], preset_embedder({}), threshold=0.5)
@@ -436,6 +451,34 @@ class TestJsonl:
         path = tmp_path / "hn.jsonl"
         write_hard_negatives(path, records)
         assert read_hard_negatives(path) == records
+
+    @pytest.mark.parametrize("row", [
+        {"id": 1, "text": 123}, {"id": 1}, {"id": 1, "text": "x", "source": 7}])
+    def test_documents_need_string_fields(self, tmp_path, row):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_documents(path)
+
+    @pytest.mark.parametrize("row", [
+        {"query": 5, "positive": "p"}, {"query": "q", "positive": ["p"]},
+        {"query": "q", "positive": "p", "source_id": None}])
+    def test_pairs_need_string_fields(self, tmp_path, row):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_pairs(path)
+
+    @pytest.mark.parametrize("row", [
+        {"query": "q", "positive": "p", "negatives": [1]},
+        {"query": "q", "positive": "p", "negatives": "n1"},
+        {"query": "q", "positive": "p"},
+        {"query": None, "positive": "p", "negatives": ["n1"]}])
+    def test_hard_negatives_need_string_fields(self, tmp_path, row):
+        path = tmp_path / "hn.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_hard_negatives(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "docs.jsonl"

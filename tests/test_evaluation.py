@@ -3,6 +3,7 @@ report shape, and the embedding cache."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,7 +294,13 @@ class TestDatasetIo:
         save_dataset(tmp_path / "ds", make_dataset())
         (tmp_path / "ds" / "dataset.json").unlink()
         assert load_dataset(tmp_path / "ds").name == "ds"
-        assert load_dataset(tmp_path / "ds", name="given").name == "given"
+
+    def test_text_must_be_a_string(self, tmp_path):
+        save_dataset(tmp_path / "ds", make_dataset())
+        path = tmp_path / "ds" / "queries.jsonl"
+        path.write_text(json.dumps({"id": "q1", "text": 7}) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_dataset(tmp_path / "ds")
 
     def test_qrels_must_reference_corpus(self):
         with pytest.raises(ValueError):

@@ -588,9 +588,7 @@ CONFIG_JSON = """\
     8,
     14
   ],
-  "tail_reduction_factor": 4,
-  "layer_norm_eps": 1e-12,
-  "format_version": 1,
+  "format_version": 2,
   "vocab_sha256": "6f61030f340651a3ef4fdf5b60c85a7cc2b9f077b07e08455e8f2b3343e90b2f"
 }
 """

@@ -22,6 +22,7 @@ _PAPER_STAGES = ("records the paper's stage hyperparameters; tests build "
 KEPT_FOR_TESTS = {
     "autodiff.grad_check": "finite-difference gradient checks (criterion 03)",
     "autodiff.tensor": "float64 inputs with an explicit dtype for criterion 03",
+    "autodiff.div": "the quotient op that criterion 03 grad-checks",
     "model.adaptive_log_probs": "full-distribution reference for target_log_probs "
                                 "(criterion 05)",
     "evaluation.load_report": "reads saved reports back in the CLI tests",
