@@ -13,9 +13,14 @@ Design notes:
   - a Python scalar operand of add/sub/mul/div is weak, as in numpy's own
     NEP 50 rule: it takes the dtype of the tensor it meets. A float32 model
     therefore stays float32 end to end, and float64 tensors stay float64.
-  - attention() is one fused op for softmax(scale * q @ k^T + bias) @ v. It
-    works in a single (heads, S, S) buffer, keeps only the attention weights
-    for backward, and gives the same bits as the composed op chain.
+  - attention() is one fused op for softmax(scale * q @ k^T + bias) @ v
+    over packed sequences: q, k and v hold the (T, heads, dh) rows of
+    several sequences end to end, and a list of runs of equal-length
+    sequences gives the layout. Each run works in one (B, heads, S, S)
+    buffer, only the attention weights are kept for backward, and the bits
+    are those of the composed op chain run by run. run_mean pools the same
+    layout to one row per sequence. These two ops are the only ones that
+    know where one sequence ends; every other op is position-wise.
   - broadcasting is supported for leading batch dimensions (gradients are
     reduced back to the parent shape); anything fancier should be written
     with explicit reshape.
@@ -35,8 +40,8 @@ __all__ = [
     "matmul", "add", "sub", "mul", "neg", "div",
     "transpose", "reshape", "concat", "stack", "narrow", "index_select", "pick",
     "softmax", "log_softmax", "layer_norm", "gelu", "tanh", "mean", "sum_",
-    "masked_fill", "attention", "cross_entropy", "l2_normalize", "backward",
-    "grad_check",
+    "masked_fill", "attention", "run_mean", "cross_entropy", "l2_normalize",
+    "backward", "grad_check",
 ]
 
 _DEFAULT_DTYPE = np.float32
@@ -509,17 +514,55 @@ def layer_norm(a, eps: float = 1e-12, axis: int = -1) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def attention(q, k, v, bias, scale: float) -> Tensor:
-    """Fused softmax(scale * q @ k^T + bias) @ v.
+def _run_rows(runs: Sequence[tuple[int, int]],
+              total: int) -> list[tuple[slice, int, int]]:
+    """(rows, count, length) of each run of a packed layout.
 
-    q, k, v are (..., S, dh); bias is a constant array that broadcasts to
-    the (..., S, S) logits and is cast to their dtype. Sequences are never
-    padded, so every query attends to every key. The logits live in one
-    buffer that each step updates in place, and only the attention weights
-    are kept for backward. The steps run in the order of the composed chain
-    (matmul, mul, add, softmax, matmul), so values and gradients are bit for
-    bit those of that chain, except that weights below tiny, the dtype's
-    smallest normal number, are exactly 0.
+    A packed tensor holds several sequences' rows end to end along axis 0;
+    runs lists (count, length) for each block of count sequences of one
+    length, in that order, so each run is a contiguous block of
+    count * length rows.
+    """
+    layout, start = [], 0
+    for count, length in runs:
+        if count < 1 or length < 1:
+            raise ValueError(f"a run needs count and length >= 1, got {(count, length)}")
+        layout.append((slice(start, start + count * length), count, length))
+        start += count * length
+    if start != total:
+        raise ValueError(f"runs cover {start} rows of a tensor with {total}")
+    return layout
+
+
+def _heads_first(x: np.ndarray, count: int, length: int) -> np.ndarray:
+    """A run's (count * length, heads, dh) rows as a C-contiguous
+    (count, heads, length, dh) array."""
+    return np.ascontiguousarray(
+        np.swapaxes(x.reshape((count, length) + x.shape[1:]), 1, 2))
+
+
+def _rows_first(x: np.ndarray, out: np.ndarray) -> None:
+    """Write a (count, heads, length, dh) array into its run's rows, out."""
+    count, heads, length, dh = x.shape
+    out.reshape(count, length, heads, dh)[...] = np.swapaxes(x, 1, 2)
+
+
+def attention(q, k, v, runs: Sequence[tuple[int, int]],
+              biases: Sequence[np.ndarray], scale: float) -> Tensor:
+    """Fused softmax(scale * q @ k^T + bias) @ v over packed sequences.
+
+    q and k are (T, heads, dh) and v is (T, heads, dv): the rows of several
+    sequences laid end to end in runs of equal-length sequences (see
+    _run_rows). A query attends to every key of its own sequence and to no
+    other. biases holds one constant array per run that broadcasts to the
+    run's (count, heads, S, S) logits and is cast to their dtype.
+
+    Each run computes on its own (count, heads, S, dh) view. Its logits live
+    in one buffer that each step updates in place, and only the attention
+    weights are kept for backward. The steps run in the order of the
+    composed chain (matmul, mul, add, softmax, matmul), so values and
+    gradients are bit for bit those of that chain run by run, except that
+    weights below tiny, the dtype's smallest normal number, are exactly 0.
 
     Subnormal weights would slow the exp, the divide and both products with
     the weights many times over. So a shifted logit below log(tiny * S)
@@ -528,34 +571,87 @@ def attention(q, k, v, bias, scale: float) -> Tensor:
     slopes have many such logits.
     """
     q, k, v = _ensure(q), _ensure(k), _ensure(v)
+    if q.ndim != 3 or k.shape != q.shape or v.ndim != 3 or v.shape[:2] != q.shape[:2]:
+        raise ValueError(f"attention needs (T, heads, dh) q and k and (T, heads, dv) v: "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    layout = _run_rows(runs, q.shape[0])
+    if len(biases) != len(layout):
+        raise ValueError(f"{len(biases)} biases for {len(layout)} runs")
     scale_arr = np.asarray(scale, dtype=q.dtype)
-    att = np.matmul(q.data, np.ascontiguousarray(np.swapaxes(k.data, -1, -2)))
-    att *= scale_arr
-    att += np.asarray(bias, dtype=att.dtype)
-    att -= att.max(axis=-1, keepdims=True)
-    floor = np.log(np.finfo(att.dtype).tiny * att.shape[-1])
-    np.copyto(att, -np.inf, where=att < floor)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
+    track = _track(q, k, v)
+    out_data = np.empty_like(v.data)
+    weights = []
+    for (rows, count, length), bias in zip(layout, biases):
+        kt = np.swapaxes(_heads_first(k.data[rows], count, length), -1, -2)
+        att = np.matmul(_heads_first(q.data[rows], count, length),
+                        np.ascontiguousarray(kt))
+        att *= scale_arr
+        att += np.asarray(bias, dtype=att.dtype)
+        att -= att.max(axis=-1, keepdims=True)
+        floor = np.log(np.finfo(att.dtype).tiny * length)
+        np.copyto(att, -np.inf, where=att < floor)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        _rows_first(np.matmul(att, _heads_first(v.data[rows], count, length)),
+                    out_data[rows])
+        if track:
+            weights.append(att)
 
     def bw(out):
-        g = out.grad
-        if v.requires_grad:
-            _accumulate(v, np.matmul(np.swapaxes(att, -1, -2), g))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        dlogits = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        dlogits -= (dlogits * att).sum(axis=-1, keepdims=True)
-        dlogits *= att
-        dlogits *= scale_arr
-        if q.requires_grad:
-            kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-            _accumulate(q, np.matmul(dlogits, np.swapaxes(kt, -1, -2)))
-        if k.requires_grad:
-            dkt = np.matmul(np.swapaxes(q.data, -1, -2), dlogits)
-            _accumulate(k, np.swapaxes(dkt, -1, -2))
+        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None
+                      for t in (q, k, v))
+        for (rows, count, length), att in zip(layout, weights):
+            g = _heads_first(out.grad[rows], count, length)
+            if gv is not None:
+                _rows_first(np.matmul(np.swapaxes(att, -1, -2), g), gv[rows])
+            if gq is None and gk is None:
+                continue
+            vr = _heads_first(v.data[rows], count, length)
+            dlogits = np.matmul(g, np.swapaxes(vr, -1, -2))
+            dlogits -= (dlogits * att).sum(axis=-1, keepdims=True)
+            dlogits *= att
+            dlogits *= scale_arr
+            if gq is not None:
+                kt = np.swapaxes(_heads_first(k.data[rows], count, length), -1, -2)
+                kt = np.ascontiguousarray(kt)
+                _rows_first(np.matmul(dlogits, np.swapaxes(kt, -1, -2)), gq[rows])
+            if gk is not None:
+                qr = _heads_first(q.data[rows], count, length)
+                dkt = np.matmul(np.swapaxes(qr, -1, -2), dlogits)
+                _rows_first(np.swapaxes(dkt, -1, -2), gk[rows])
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            if grad is not None:
+                _accumulate(t, grad)
 
-    return _make(np.matmul(att, v.data), (q, k, v), bw)
+    return _make(out_data, (q, k, v), bw)
+
+
+def run_mean(a, runs: Sequence[tuple[int, int]]) -> Tensor:
+    """Mean over the rows of each sequence of a packed (T, ...) tensor laid
+    out in runs (see _run_rows): one row per sequence, in packed order.
+
+    A run's means are those of its (count, length, ...) view over axis 1,
+    bit for bit.
+    """
+    a = _ensure(a)
+    layout = _run_rows(runs, a.shape[0])
+    rest = a.shape[1:]
+    out_data = np.concatenate([a.data[rows].reshape((count, length) + rest).mean(axis=1)
+                               for rows, count, length in layout])
+
+    def bw(out):
+        if not a.requires_grad:
+            return
+        g = np.empty_like(a.data)
+        start = 0
+        for rows, count, length in layout:
+            per_seq = out.grad[start:start + count].reshape((count, 1) + rest)
+            g[rows].reshape((count, length) + rest)[...] = (
+                np.broadcast_to(per_seq, (count, length) + rest) / length)
+            start += count
+        _accumulate(a, g)
+
+    return _make(out_data, (a,), bw)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:

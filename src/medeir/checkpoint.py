@@ -12,7 +12,8 @@ writes goes through atomic_write_bytes: the bytes go to a uniquely named
 temp file in the target's directory, which is fsynced and then renamed over
 the target, and removed again if anything fails, so a crash never leaves a
 half-written artifact behind. JSON-lines files are written by write_jsonl
-and read by read_jsonl; string_field reads one text field of a row.
+and read by read_jsonl, or by numbered_jsonl where an error names the line;
+string_field reads one text field of a row.
 config_from_dict turns a JSON object read from a file into a config
 dataclass, checking each value's JSON type.
 """
@@ -93,8 +94,9 @@ def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
 _RAW_DECODE = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: Path) -> Iterator[dict]:
-    """Yield the JSON object on each non-blank line of a UTF-8 file.
+def numbered_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, JSON object) for each non-blank line of a UTF-8
+    file.
 
     A line that is not UTF-8 or does not hold a JSON object raises
     ValueError naming path:line. Each line is decoded by one call into the
@@ -118,7 +120,13 @@ def read_jsonl(path: Path) -> Iterator[dict]:
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{line_no}: expected a JSON object, "
                                  f"got {type(row).__name__}")
-            yield row
+            yield line_no, row
+
+
+def read_jsonl(path: Path) -> Iterator[dict]:
+    """The JSON object on each non-blank line of a UTF-8 file
+    (numbered_jsonl without the line numbers)."""
+    return (row for _, row in numbered_jsonl(path))
 
 
 def string_field(row: dict, key: str, path: Path, default: str | None = None) -> str:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .checkpoint import atomic_write_text, checkpoint_hash, read_jsonl, write_jsonl
+from .checkpoint import atomic_write_text, checkpoint_hash, numbered_jsonl, write_jsonl
 from .datapipe import (
     Embedder,
     clean_document,
@@ -170,7 +170,15 @@ def _cmd_data_mine(args) -> None:
 
 def _load_stage_data(stage: str, path: Path, vocab: Vocabulary):
     if stage == "mlm":
-        return [sequence_from_ids(vocab, blob["ids"]) for blob in read_jsonl(path)]
+        chunks, size = [], len(vocab)
+        for line, blob in numbered_jsonl(path):
+            ids = blob.get("ids")
+            if not (isinstance(ids, list)
+                    and all(type(i) is int and 0 <= i < size for i in ids)):
+                raise ValueError(f"{path}:{line}: 'ids' must be a list of token ids "
+                                 f"in [0, {size}), got {ids!r}")
+            chunks.append(sequence_from_ids(vocab, ids))
+        return chunks
     grouped: dict[str, list] = {}
     if stage == "contrastive":
         for pair in read_pairs(path):

@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import (atomic_write_bytes, atomic_write_text, read_jsonl,
-                         string_field, write_jsonl)
+from .checkpoint import (atomic_write_bytes, atomic_write_text, numbered_jsonl,
+                         read_jsonl, string_field, write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
 from .tokenizer import CONTINUATION_PREFIX, TokenizerModel
@@ -354,8 +354,12 @@ def load_dataset(directory: Path) -> RetrievalDataset:
     queries = _read_id_text(directory / "queries.jsonl")
     corpus = _read_id_text(directory / "corpus.jsonl")
     qrels: dict[str, dict[str, int]] = {}
-    for blob in read_jsonl(directory / "qrels.jsonl"):
-        qrels.setdefault(str(blob["qid"]), {})[str(blob["did"])] = int(blob["rel"])
+    path = directory / "qrels.jsonl"
+    for line, blob in numbered_jsonl(path):
+        rel = blob.get("rel")
+        if type(rel) is not int or rel < 0:  # a bool is not a grade
+            raise ValueError(f"{path}:{line}: 'rel' must be an integer >= 0, got {rel!r}")
+        qrels.setdefault(str(blob["qid"]), {})[str(blob["did"])] = rel
     info = directory / "dataset.json"
     if info.exists():
         with open(info, "r", encoding="utf-8") as fh:

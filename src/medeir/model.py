@@ -14,16 +14,20 @@ Pieces that differ from a stock pre-norm transformer:
     training (mlm_loss through target_log_probs) computes only the head and
     the tail clusters that the masked targets hit.
 
-Forward functions take one sequence of ids (S,) or a batch of equal-length
-sequences (B, S), and every op broadcasts over the leading batch axis.
-embed_batch is the one encode path that training, evaluation, filtering and
-mining share: it groups sequences by exact token length and runs one
-forward per group. Unpadded groups make each row's arithmetic (numpy
-matmul runs one gemm per batch item; reductions see the same lengths)
-that of a forward over that sequence alone, so a text's embedding does not
-depend on what it is batched with. Attention is one fused autodiff op
-(autodiff.attention), and each forward builds its ALiBi bias afresh, in the
-model's dtype, as a strided view of one (heads, 2S - 1) row per head.
+Forward functions take packed ids (T,): the tokens of several sequences
+laid end to end, with runs that give the count and length of each block of
+equal-length sequences. Every op except attention and pooling works row by
+row over the whole pack; autodiff.attention keeps each query inside its own
+sequence, and autodiff.run_mean pools each sequence's rows. embed_batch is
+the one encode path that training, evaluation, filtering and mining share,
+and mlm_loss runs on the same packed forward. Both order sequences by
+length, then input order, and fill packs of at most _PACK_TOKENS tokens, so
+a batch of short texts runs as one forward however many lengths it holds.
+No sequence is padded and each run's attention is the per-sequence
+kernel, so a text's embedding does not depend on what it is packed with;
+_min_rows tops up a pack too short for that. Each forward builds its
+ALiBi biases afresh, in the model's dtype, as strided views of one
+(heads, 2S - 1) row per head and run length.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -333,117 +338,151 @@ def _affine_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def embed_tokens(embedding: MultiProjEmbedding, ids) -> Tensor:
-    """Attention-weighted sum of K projected views of each token embedding.
-
-    ids is (S,) or (B, S); the result is (S, d) or (B, S, d).
-    """
+    """Attention-weighted sum of K projected views of each token embedding:
+    ids (T,), result (T, d)."""
     ids = np.asarray(ids, dtype=np.int64)
     vocab_size = embedding.table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError(f"token id out of range for vocab of {vocab_size}")
     k, d = embedding.scorer.shape
-    e = ad.index_select(embedding.table, ids)                 # (..., S, d)
-    e = ad.reshape(e, ids.shape[:-1] + (1, ids.shape[-1], d))
-    h = ad.matmul(e, embedding.projections)                   # (..., K, S, d)
+    e = ad.reshape(ad.index_select(embedding.table, ids), (1, ids.size, d))
+    h = ad.matmul(e, embedding.projections)                   # (K, T, d)
     scores = ad.sum_(ad.mul(h, ad.reshape(embedding.scorer, (k, 1, d))), axis=-1)
-    weights = ad.softmax(scores, axis=-2)                     # (..., K, S)
+    weights = ad.softmax(scores, axis=0)                      # (K, T)
     combined = ad.mul(h, ad.reshape(weights, weights.shape + (1,)))
-    return ad.sum_(combined, axis=-3)                         # (..., S, d)
+    return ad.sum_(combined, axis=0)                          # (T, d)
 
 
-def _attention(h: Tensor, layer: EncoderLayer, alibi_bias: np.ndarray,
-               config: ModelConfig) -> Tensor:
-    lead, (s, d) = h.shape[:-2], h.shape[-2:]
-    n = config.heads
-    dh = d // n
-    r = len(lead)
-    swap = tuple(range(r)) + (r + 1, r, r + 2)  # (..., S, n, dh) <-> (..., n, S, dh)
-
-    def heads_view(x):
-        return ad.transpose(ad.reshape(x, lead + (s, n, dh)), swap)
-
-    q = heads_view(ad.add(ad.matmul(h, layer.wq), layer.bq))
+def _attention(h: Tensor, layer: EncoderLayer, runs: tuple[tuple[int, int], ...],
+               biases: list[np.ndarray], config: ModelConfig) -> Tensor:
+    t, d = h.shape
+    heads_shape = (t, config.heads, d // config.heads)
+    q = ad.reshape(ad.add(ad.matmul(h, layer.wq), layer.bq), heads_shape)
     # no key bias: it would add q . bk to every logit of a query, which the
     # softmax over keys cancels
-    key = heads_view(ad.matmul(h, layer.wk))
-    v = heads_view(ad.add(ad.matmul(h, layer.wv), layer.bv))
+    key = ad.reshape(ad.matmul(h, layer.wk), heads_shape)
+    v = ad.reshape(ad.add(ad.matmul(h, layer.wv), layer.bv), heads_shape)
+    scale = 1.0 / math.sqrt(heads_shape[-1])
+    ctx = ad.attention(q, key, v, runs, biases, scale)          # (T, heads, dh)
+    return ad.add(ad.matmul(ad.reshape(ctx, (t, d)), layer.wo), layer.bo)
 
-    ctx = ad.attention(q, key, v, alibi_bias, 1.0 / math.sqrt(dh))  # (..., n, S, dh)
-    merged = ad.reshape(ad.transpose(ctx, swap), lead + (s, d))
-    return ad.add(ad.matmul(merged, layer.wo), layer.bo)
 
+def encoder_forward(model: EncoderModel, ids,
+                    runs: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Hidden states (T, d) of the sequences packed end to end in ids (T,).
 
-def encoder_forward(model: EncoderModel, ids) -> Tensor:
-    """Run the full encoder over one sequence (S,) or a batch of equal-length
-    sequences (B, S); returns (S, d) or (B, S, d) hidden states."""
+    runs lists (count, length) for each run of equal-length sequences in
+    packed order (autodiff.attention); None means that ids is one sequence.
+    Attention stays within each sequence, and every other op works row by
+    row, so a sequence's rows do not depend on what it is packed with.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim not in (1, 2) or ids.size == 0:
-        raise ValueError("ids must be a non-empty (S,) sequence or (B, S) batch")
-    seq_len = ids.shape[-1]
-    if seq_len > model.config.max_infer_len:
-        raise ValueError(f"sequence length {seq_len} exceeds "
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("ids must be a non-empty (T,) array of token ids")
+    runs = ((1, ids.size),) if runs is None else tuple(runs)
+    if sum(count * length for count, length in runs) != ids.size:
+        raise ValueError(f"runs {runs} do not lay out {ids.size} ids")
+    longest = max(length for _, length in runs)
+    if longest > model.config.max_infer_len:
+        raise ValueError(f"sequence length {longest} exceeds "
                          f"max_infer_len {model.config.max_infer_len}")
-    alibi = _alibi_stack(model.alibi.slopes, seq_len, model.embedding.table.dtype)
+    rows = ids.size
+    pad = _min_rows(model.config) - rows
+    if pad > 0:
+        ids = np.concatenate([ids, np.full(pad, ids[0])])
+        runs += ((pad, 1),)
+    dtype = model.embedding.table.dtype
+    biases = [_alibi_stack(model.alibi.slopes, length, dtype) for _, length in runs]
 
     h = embed_tokens(model.embedding, ids)
     for layer in model.layers:
         attn_in = _affine_norm(h, layer.ln1_gamma, layer.ln1_beta)
-        h = ad.add(h, _attention(attn_in, layer, alibi, model.config))
+        h = ad.add(h, _attention(attn_in, layer, runs, biases, model.config))
         ffn_in = _affine_norm(h, layer.ln2_gamma, layer.ln2_beta)
         ffn = ad.matmul(ad.gelu(ad.add(ad.matmul(ffn_in, layer.w_ffn_in),
                                        layer.b_ffn_in)), layer.w_ffn_out)
         h = ad.add(h, ad.add(ffn, layer.b_ffn_out))
-    return _affine_norm(h, model.final_gamma, model.final_beta)
+    out = _affine_norm(h, model.final_gamma, model.final_beta)
+    return ad.narrow(out, 0, 0, rows) if pad > 0 else out
 
 
-def embed_sequence(model: EncoderModel, ids) -> Tensor:
-    """Differentiable text embedding: forward, mean over every position,
-    unit-normalize.
+def _min_rows(config: ModelConfig) -> int:
+    """Fewest rows a forward runs on; a shorter pack is topped up with
+    one-token sequences whose rows are dropped.
 
-    ids is (S,) or (B, S); the result is (d,) or (B, d).
+    numpy's OpenBLAS computes a one-row float32 product with gemv, and one
+    of at most 10**6 multiply-adds with a small-matrix kernel. Measured on
+    x86-64 with AVX-512, that kernel rounds like the blocked gemm of a
+    larger product when the inner size K is at most 384 and either the
+    output width N is a multiple of 16 or K is below 32. So a pack needs 2
+    rows, and enough rows to pass the cut when a position-wise product
+    (K, N) is outside those sizes. Every row of a product then comes out the
+    same whatever rows it is computed with, so a sequence's hidden states
+    do not depend on what it is packed with.
     """
-    hidden = encoder_forward(model, ids)
-    return ad.l2_normalize(ad.mean(hidden, axis=-2), axis=-1)
+    d, f = config.hidden, config.ffn_dim
+    rows = 2
+    for k, n in ((d, d), (d, f), (f, d)):
+        if k > 384 or (n % 16 and k >= 32):
+            rows = max(rows, 10 ** 6 // (k * n) + 1)
+    return rows
 
 
-# Most floats one forward's (B, heads, S, S) attention weights may hold; a
-# larger group of equal-length sequences is split over several forwards.
-_GROUP_FLOATS = 1 << 22
+# Most tokens one forward packs; a longer sequence runs alone. A run of
+# sequences of length S then holds at most heads * _PACK_TOKENS * S
+# attention weights.
+_PACK_TOKENS = 2048
 
 
-def length_groups(lengths: Sequence[int], heads: int) -> list[list[int]]:
-    """Indices of the sequences of each length, shortest length first and in
-    input order within a length, split so that no group's attention weights
-    exceed _GROUP_FLOATS floats."""
-    by_length: dict[int, list[int]] = {}
-    for i, length in enumerate(lengths):
-        by_length.setdefault(length, []).append(i)
-    groups = []
-    for length in sorted(by_length):
-        rows = by_length[length]
-        step = max(1, _GROUP_FLOATS // (heads * length * length))
-        groups.extend(rows[start:start + step] for start in range(0, len(rows), step))
-    return groups
+def _packs(id_lists: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """Yield (rows, ids, runs) for each forward over id_lists.
+
+    Sequences are taken shortest first, in input order within a length, and
+    laid end to end until the next one would take a pack past
+    _PACK_TOKENS. rows are the indices of a pack's sequences in packed
+    order, ids their (T,) concatenation and runs its (count, length) runs.
+    """
+    lengths = [len(ids) for ids in id_lists]
+    packs: list[list[int]] = []
+    tokens = 0
+    for i in sorted(range(len(lengths)), key=lambda i: (lengths[i], i)):
+        if not packs or tokens + lengths[i] > _PACK_TOKENS:
+            packs.append([])
+            tokens = 0
+        packs[-1].append(i)
+        tokens += lengths[i]
+    for rows in packs:
+        ids = np.concatenate([np.asarray(id_lists[i], dtype=np.int64) for i in rows])
+        runs = tuple((len(list(group)), length)
+                     for length, group in groupby(lengths[i] for i in rows))
+        yield rows, ids, runs
 
 
 def embed_batch(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> Tensor:
     """(n, d) unit embeddings of n token-id sequences, rows in input order.
 
-    Sequences of one length run as one forward over a (B, S) batch, so each
-    row equals embed_sequence of that sequence alone, bit for bit. The graph
-    is recorded whenever gradients are enabled.
+    Each pack of sequences runs as one forward and is mean-pooled per
+    sequence, so each row equals the embedding of that sequence alone, bit
+    for bit. The graph is recorded whenever gradients are enabled.
     """
-    if not id_lists:
+    if len(id_lists) == 0:
         return Tensor(np.zeros((0, model.config.hidden), dtype=model.embedding.table.dtype))
     if not all(len(ids) for ids in id_lists):
         raise ValueError("cannot embed an empty token sequence")
-    groups = length_groups([len(ids) for ids in id_lists], model.config.heads)
-    parts = [embed_sequence(model, [id_lists[i] for i in rows]) for rows in groups]
+    parts, order = [], []
+    for rows, ids, runs in _packs(id_lists):
+        pooled = ad.run_mean(encoder_forward(model, ids, runs), runs)
+        parts.append(ad.l2_normalize(pooled, axis=-1))
+        order += rows
     out = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-    order = [i for rows in groups for i in rows]
     if order == sorted(order):
         return out
     return ad.index_select(out, np.argsort(order))
+
+
+def embed_sequence(model: EncoderModel, ids: Sequence[int]) -> Tensor:
+    """Differentiable (d,) unit embedding of one token-id sequence."""
+    return ad.reshape(embed_batch(model, [ids]), (model.config.hidden,))
 
 
 def _token_ids(tokenizer: TokenizerModel, texts: Sequence[str],
@@ -540,35 +579,46 @@ def target_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor, targets) -> Tens
     return ad.add(gate_lp, ad.index_select(ad.concat(terms, axis=0), where))
 
 
-def mlm_loss(model: EncoderModel, ids, mask_positions, original_ids) -> Tensor:
-    """Cross-entropy at the masked positions.
+def mlm_loss(model: EncoderModel, id_lists: Sequence[Sequence[int]],
+             mask_positions: Sequence[Sequence[int]],
+             original_ids: Sequence[Sequence[int]]) -> Tensor:
+    """Mean over sequences of each one's cross-entropy, averaged over its
+    masked positions.
 
-    For one sequence (ids (S,), one set of positions) it is the mean over
-    those positions. For a batch of equal-length sequences (ids (B, S), one
-    set of positions per row) it is the mean over rows of each row's mean.
-    The head runs through target_log_probs, so only the clusters that the
-    targets hit are computed; no (positions, V) array is built.
+    id_lists holds the corrupted sequences, mask_positions one non-empty set
+    of positions per sequence and original_ids each sequence's uncorrupted
+    ids. The sequences run through the packed forward, and only their masked
+    rows, picked by flat offset, reach the head. The head runs through
+    target_log_probs, so only the clusters that the targets hit are
+    computed; no (positions, V) array is built.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids, mask_positions, original_ids = ids[None], [mask_positions], [original_ids]
-    rows = [sorted(positions) for positions in mask_positions]
-    if len(rows) != ids.shape[0]:
-        raise ValueError(f"{len(rows)} position sets for {ids.shape[0]} sequences")
-    if not all(rows):
-        raise ValueError("mlm_loss needs at least one masked position per sequence")
-    batch, seq_len = ids.shape
-    flat = np.concatenate([b * seq_len + np.asarray(r, dtype=np.int64)
-                           for b, r in enumerate(rows)])
-    hidden = encoder_forward(model, ids)
-    hidden = ad.reshape(hidden, (batch * seq_len, hidden.shape[-1]))
+    n = len(id_lists)
+    if n == 0:
+        raise ValueError("mlm_loss needs at least one sequence")
+    if len(mask_positions) != n or len(original_ids) != n:
+        raise ValueError(f"{len(mask_positions)} position sets and {len(original_ids)} "
+                         f"targets for {n} sequences")
+    positions = [np.asarray(sorted(p), dtype=np.int64) for p in mask_positions]
+    for ids, pos, original in zip(id_lists, positions, original_ids):
+        if pos.size == 0:
+            raise ValueError("mlm_loss needs at least one masked position per sequence")
+        if len(original) != len(ids) or pos[0] < 0 or pos[-1] >= len(ids):
+            raise ValueError(f"masked positions {pos.tolist()} or targets do not fit "
+                             f"a sequence of {len(ids)} tokens")
+    picked, order = [], []
+    for rows, ids, runs in _packs(id_lists):
+        starts = np.cumsum([0] + [len(id_lists[i]) for i in rows[:-1]])
+        flat = np.concatenate([start + positions[i] for start, i in zip(starts, rows)])
+        picked.append(ad.index_select(encoder_forward(model, ids, runs), flat))
+        order += rows
+    hidden = picked[0] if len(picked) == 1 else ad.concat(picked, axis=0)
     head = model.mlm_head
-    normed = _affine_norm(ad.index_select(hidden, flat), head.pre_norm_gamma,
-                          head.pre_norm_beta)
-    targets = np.asarray(original_ids, dtype=np.int64).reshape(-1)[flat]
+    normed = _affine_norm(hidden, head.pre_norm_gamma, head.pre_norm_beta)
+    targets = np.concatenate([np.asarray(original_ids[i], dtype=np.int64)[positions[i]]
+                              for i in order])
     log_probs = target_log_probs(head, normed, targets)
-    counts = np.array([len(r) for r in rows])
-    weights = np.repeat(1.0 / (batch * counts), counts).astype(log_probs.dtype)
+    counts = np.array([positions[i].size for i in order])
+    weights = np.repeat(1.0 / (n * counts), counts).astype(log_probs.dtype)
     return ad.neg(ad.sum_(ad.mul(log_probs, weights)))
 
 

@@ -138,7 +138,7 @@ def windowed_masked_ce(model: EncoderModel, vocab: Vocabulary,
         for pos in positions:
             corrupted[pos] = mask_id
         with ad.no_grad():
-            loss = mlm_loss(model, corrupted, positions, ids)
+            loss = mlm_loss(model, [corrupted], [positions], [ids])
         total += loss.item() * len(positions)
         count += len(positions)
     if count == 0:

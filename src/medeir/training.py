@@ -23,7 +23,7 @@ from .autodiff import Tensor, backward
 from .checkpoint import config_from_dict, write_jsonl
 # embed_sequence is not called here; perfbench/spans.py wraps it by this name
 from .model import (EncoderModel, _token_ids, embed_batch,  # noqa: F401
-                    embed_sequence, length_groups, mlm_loss, save_model)
+                    embed_sequence, mlm_loss, save_model)
 from .tokenizer import MASK_TOKEN, EncodedSequence, TokenizerModel
 
 STAGES = ("mlm", "contrastive", "hard_negative")
@@ -506,8 +506,8 @@ def _mlm_micro_loss(model: EncoderModel, batch: list[EncodedSequence],
                     rng: np.random.Generator) -> tuple[Tensor, int]:
     """Mean over the batch's maskable sequences of each one's MLM loss.
 
-    Masks are drawn sequence by sequence in batch order; sequences of equal
-    length then run as one forward.
+    Masks are drawn sequence by sequence in batch order; the masked
+    sequences then run through one packed mlm_loss.
     """
     masked = []
     tokens = 0
@@ -520,13 +520,8 @@ def _mlm_micro_loss(model: EncoderModel, batch: list[EncodedSequence],
         masked.append((corrupted, positions, targets))
     if not masked:
         raise ValueError("no maskable sequences in batch")
-    total = None
-    for rows in length_groups([len(m[0]) for m in masked], model.config.heads):
-        corrupted, positions, targets = zip(*(masked[i] for i in rows))
-        loss = ad.mul(mlm_loss(model, corrupted, positions, targets),
-                      len(rows) / len(masked))
-        total = loss if total is None else ad.add(total, loss)
-    return total, tokens
+    corrupted, positions, targets = zip(*masked)
+    return mlm_loss(model, corrupted, positions, targets), tokens
 
 
 def _batched(data: Iterable, size: int) -> Iterator[list]:

@@ -212,7 +212,7 @@ def test_criterion_03_gradient_checks():
         batch.append((corrupted, positions, original))
 
     def loss_fn(_):
-        losses = [mlm_loss(model, c, p, o) for c, p, o in batch]
+        losses = [mlm_loss(model, [c], [p], [o]) for c, p, o in batch]
         return ad.mul(ad.add(ad.add(losses[0], losses[1]), losses[2]),
                       1.0 / 3.0)
 
@@ -267,7 +267,7 @@ def test_criterion_04_loss_anchors():
     for pos in positions:
         corrupted[pos] = mask_id
     with ad.no_grad():
-        fresh = mlm_loss(model, corrupted, positions, original).data.item()
+        fresh = mlm_loss(model, [corrupted], [positions], [original]).data.item()
     ln_v = math.log(vocab_size)
     assert abs(fresh - ln_v) <= 0.05 * ln_v
 
@@ -424,7 +424,7 @@ def test_criterion_08_optimizer_anchors():
         sequences.append((corrupted, positions, ids))
 
     def batch_loss(model, batch):
-        losses = [mlm_loss(model, c, p, o) for c, p, o in batch]
+        losses = [mlm_loss(model, [c], [p], [o]) for c, p, o in batch]
         total = losses[0]
         for extra in losses[1:]:
             total = ad.add(total, extra)

@@ -408,35 +408,66 @@ class TestScalarDtype:
 
 
 def attention_chain(q, k, v, bias, scale):
-    """The composed op chain that ad.attention fuses."""
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
+    """The composed op chain that ad.attention fuses, on (..., S, dh) inputs."""
+    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    logits = ad.mul(ad.matmul(q, ad.transpose(k, swap)), scale)
     logits = ad.add(logits, Tensor(bias))
     return ad.matmul(ad.softmax(logits, axis=-1), v)
 
 
-def _attention_inputs(dtype, seq_len, seed=28):
+def packed_attention_chain(q, k, v, runs, biases, scale):
+    """ad.attention as composed ops: each run of packed (T, heads, dh) rows
+    cut out, viewed as (count, heads, S, dh), run through attention_chain
+    and laid back end to end."""
+    parts, start = [], 0
+    for (count, length), bias in zip(runs, biases):
+        def heads_first(x):
+            x = ad.narrow(x, 0, start, start + count * length)
+            return ad.transpose(ad.reshape(x, (count, length) + x.shape[1:]), (0, 2, 1, 3))
+
+        ctx = attention_chain(heads_first(q), heads_first(k), heads_first(v), bias, scale)
+        parts.append(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)),
+                                (count * length,) + q.shape[1:]))
+        start += count * length
+    return ad.concat(parts, axis=0)
+
+
+def _alibi_biases(runs, slopes, dtype):
+    """One (heads, S, S) symmetric ALiBi bias per run."""
+    biases = []
+    for _, length in runs:
+        dist = np.abs(np.arange(length)[:, None] - np.arange(length)[None, :])
+        biases.append((-np.asarray(slopes)[:, None, None] * dist).astype(dtype))
+    return biases
+
+
+def _attention_inputs(dtype, runs, seed=28):
     rng = np.random.default_rng(seed)
     heads, dh = 3, 5
+    rows = sum(count * length for count, length in runs)
 
     def leaf():
-        return Tensor(rng.standard_normal((heads, seq_len, dh)).astype(dtype),
+        return Tensor(rng.standard_normal((rows, heads, dh)).astype(dtype),
                       requires_grad=True)
 
     q, k, v = leaf(), leaf(), leaf()
-    dist = np.abs(np.arange(seq_len)[:, None] - np.arange(seq_len)[None, :])
-    bias = (-np.array([0.5, 0.25, 0.125])[:, None, None] * dist).astype(dtype)
-    weights = rng.standard_normal((heads, seq_len, dh)).astype(dtype)
-    return q, k, v, bias, weights
+    biases = _alibi_biases(runs, [0.5, 0.25, 0.125], dtype)
+    weights = rng.standard_normal((rows, heads, dh)).astype(dtype)
+    return q, k, v, biases, weights
+
+
+MULTI_RUN = ((2, 1), (3, 7), (1, 37))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("seq_len", [1, 7, 37])
-def test_attention_is_bitwise_the_composed_chain(dtype, seq_len):
+@pytest.mark.parametrize("runs", [((1, 1),), ((1, 7),), ((1, 37),), MULTI_RUN],
+                         ids=["1", "7", "37", "multi"])
+def test_attention_is_bitwise_the_composed_chain(dtype, runs):
     scale = 1.0 / math.sqrt(5)
     results = []
-    for op in (ad.attention, attention_chain):
-        q, k, v, bias, weights = _attention_inputs(dtype, seq_len)
-        out = op(q, k, v, bias, scale)
+    for op in (ad.attention, packed_attention_chain):
+        q, k, v, biases, weights = _attention_inputs(dtype, runs)
+        out = op(q, k, v, runs, biases, scale)
         backward(ad.sum_(ad.mul(out, weights)))
         results.append((out.data, q.grad, k.grad, v.grad))
     for fused, chain, name in zip(*results, ("out", "q", "k", "v")):
@@ -446,14 +477,73 @@ def test_attention_is_bitwise_the_composed_chain(dtype, seq_len):
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
 def test_attention_grad_check(which):
-    q, k, v, bias, weights = _attention_inputs(np.float64, 6)
+    runs = ((2, 1), (1, 4), (2, 3))
+    q, k, v, biases, weights = _attention_inputs(np.float64, runs)
     inputs = [q, k, v]
 
     def f(t):
         args = inputs[:which] + [t] + inputs[which + 1:]
-        return ad.sum_(ad.mul(ad.attention(*args, bias, 0.4), weights))
+        return ad.sum_(ad.mul(ad.attention(*args, runs, biases, 0.4), weights))
 
     assert grad_check(f, inputs[which], h=1e-5) < 1e-6
+
+
+def test_attention_keeps_each_sequence_to_itself():
+    """A sequence's output and gradients are those of attention over it
+    alone, whatever runs sit before and after it."""
+    runs = ((2, 3), (1, 5), (3, 2))
+    q, k, v, biases, weights = _attention_inputs(np.float32, runs)
+    out = ad.attention(q, k, v, runs, biases, 0.3)
+    backward(ad.sum_(ad.mul(out, weights)))
+    start = 0
+    for (count, length), bias in zip(runs, biases):
+        for _ in range(count):
+            rows = slice(start, start + length)
+            alone = [Tensor(t.data[rows], requires_grad=True) for t in (q, k, v)]
+            got = ad.attention(*alone, ((1, length),), [bias], 0.3)
+            backward(ad.sum_(ad.mul(got, weights[rows])))
+            assert np.array_equal(got.data, out.data[rows])
+            for t, whole in zip(alone, (q, k, v)):
+                assert np.array_equal(t.grad, whole.grad[rows])
+            start += length
+
+
+def test_attention_rejects_a_layout_that_does_not_cover_the_rows():
+    q, k, v, biases, _ = _attention_inputs(np.float32, ((2, 3),))
+    with pytest.raises(ValueError):
+        ad.attention(q, k, v, ((1, 3),), biases, 0.3)
+    with pytest.raises(ValueError):
+        ad.attention(q, k, v, ((2, 3),), biases * 2, 0.3)
+    with pytest.raises(ValueError):
+        ad.attention(q, k, v, ((0, 3), (2, 3)), biases * 2, 0.3)
+
+
+def test_run_mean_is_bitwise_the_per_run_mean():
+    runs = ((3, 1), (2, 4), (1, 9))
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((3 + 8 + 9, 6)).astype(np.float32), requires_grad=True)
+    weights = rng.standard_normal((6, 6)).astype(np.float32)
+    out = ad.run_mean(x, runs)
+    backward(ad.sum_(ad.mul(out, weights)))
+    want_grads = []
+    start, row = 0, 0
+    for count, length in runs:
+        view = Tensor(x.data[start:start + count * length].reshape(count, length, 6),
+                      requires_grad=True)
+        want = ad.mean(view, axis=-2)
+        backward(ad.sum_(ad.mul(want, weights[row:row + count])))
+        assert np.array_equal(out.data[row:row + count], want.data)
+        want_grads.append(view.grad.reshape(count * length, 6))
+        start += count * length
+        row += count
+    assert np.array_equal(x.grad, np.concatenate(want_grads))
+
+
+def test_run_mean_grad_check():
+    x = rand64(np.random.default_rng(8), 7, 3)
+    weights = np.random.default_rng(9).standard_normal((3, 3))
+    assert grad_check(lambda t: ad.sum_(ad.mul(ad.run_mean(t, ((1, 1), (2, 3))),
+                                               weights)), x) < 1e-6
 
 
 def unflushed_attention(q, k, v, bias, scale):
@@ -469,7 +559,8 @@ def unflushed_attention(q, k, v, bias, scale):
 
 
 def _alibi_inputs(seq_len, heads=4, dh=32):
-    """float32 q, k, v and the encoder's ALiBi bias for slopes 1/4, 1/16, ..."""
+    """float32 q, k, v and the encoder's ALiBi bias for slopes 1/4, 1/16, ...
+    q, k, v are (heads, S, dh), one sequence's heads-first view."""
     rng = np.random.default_rng(seq_len)
     q, k, v = (rng.standard_normal((heads, seq_len, dh)).astype(np.float32)
                for _ in range(3))
@@ -477,6 +568,11 @@ def _alibi_inputs(seq_len, heads=4, dh=32):
     dist = np.abs(np.arange(seq_len)[:, None] - np.arange(seq_len)[None, :])
     bias = (-slopes[:, None, None] * dist).astype(np.float32)
     return q, k, v, bias
+
+
+def _packed(x):
+    """One sequence's (heads, S, dh) view as packed (S, heads, dh) rows."""
+    return np.ascontiguousarray(np.swapaxes(x, 0, 1))
 
 
 @pytest.mark.parametrize("seq_len", [512, 1024, 1536])
@@ -487,15 +583,18 @@ def test_attention_flush_keeps_long_alibi_outputs_bitwise(seq_len):
     tiny = np.finfo(np.float32).tiny
     assert ((weights > 0) & (weights < tiny)).any()  # there is something to flush
     with no_grad():
-        got = ad.attention(q, k, v, bias, scale)
-    assert np.array_equal(got.data, want)
+        got = ad.attention(_packed(q), _packed(k), _packed(v), ((1, seq_len),), [bias],
+                           scale)
+    assert np.array_equal(got.data, _packed(want))
 
 
 def test_attention_weights_are_never_subnormal():
     seq_len = 1536
     q, k, _, bias = _alibi_inputs(seq_len, heads=1)
     eye = np.eye(seq_len, dtype=np.float32)
-    weights = ad.attention(q, k, eye[None], bias, 0.2).data  # (1, S, S) @ I
+    out = ad.attention(_packed(q), _packed(k), eye[:, None, :], ((1, seq_len),), [bias],
+                       0.2)
+    weights = out.data[:, 0, :]  # row i of the weights times I
     tiny = np.finfo(np.float32).tiny
     assert not ((weights > 0) & (weights < tiny)).any()
     assert (weights == 0).any()
@@ -530,7 +629,7 @@ class TestFirstGradientWrite:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_model_grads_bitwise_the_old_accumulate(self, monkeypatch, dtype):
-        from medeir.model import ModelConfig, build_model, embed_sequence, mlm_loss
+        from medeir.model import ModelConfig, build_model, embed_batch, mlm_loss
 
         config = ModelConfig(vocab_size=40, hidden=16, layers=2, heads=2, ffn_dim=32,
                              num_projections=2, adaptive_cutoffs=(8, 20, 40),
@@ -542,7 +641,7 @@ class TestFirstGradientWrite:
 
         def grads():
             model.zero_grad()
-            emb = embed_sequence(model, ids)
+            emb = embed_batch(model, ids)
             loss = ad.add(mlm_loss(model, corrupted, [[1, 4], [1, 4]], ids),
                           ad.sum_(ad.mul(emb, emb)))
             backward(loss)

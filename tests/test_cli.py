@@ -289,6 +289,23 @@ class TestTrainCommands:
         assert "exceeds max_len 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ids", [[5, "x", 6], 5, [5, True], [5, 6.0], [5, 99], [-1]],
+                             ids=["string", "not-a-list", "bool", "float", "past-vocab",
+                                  "negative"])
+    def test_mlm_chunk_ids_that_are_not_token_ids_exit_one(self, ws, tmp_path, capsys,
+                                                           ids):
+        chunks = tmp_path / "chunks.jsonl"
+        chunks.write_text(json.dumps({"ids": [5, 6, 7]}) + "\n"
+                          + json.dumps({"ids": ids}) + "\n")
+        out = tmp_path / "ckpt_mlm"
+        rc = dispatch(["train", "mlm", "--config", str(stage_config(tmp_path, "mlm")),
+                       "--data", str(chunks), "--init", str(ws / "ckpt"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{chunks}:2: 'ids' must be a list of token ids" in err
+        assert not out.exists()
+
     def test_config_that_is_not_an_object_exits_one(self, ws, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -348,6 +365,24 @@ class TestEvalCommands:
         assert report.metadata["checkpoint_hashes"]["ckpt"]
         table = capsys.readouterr().out
         assert "dataset" in table and "ckpt" in table
+
+    @pytest.mark.parametrize("rel", [[1], 1.9, 1.0, True, -1, "1", None],
+                             ids=["list", "fraction", "float", "bool", "negative",
+                                  "string", "missing"])
+    def test_grade_that_is_not_a_non_negative_integer_exits_one(self, ws, tmp_path,
+                                                                capsys, rel):
+        ds = tmp_path / "dataset"
+        shutil.copytree(ws / "dataset", ds)
+        bad = {"qid": "q1", "did": "d1"} | ({} if rel is None else {"rel": rel})
+        qrels = ds / "qrels.jsonl"
+        qrels.write_text(json.dumps({"qid": "q1", "did": "d0", "rel": 2}) + "\n\n"
+                         + json.dumps(bad) + "\n")
+        out = tmp_path / "report.json"
+        rc = dispatch(["eval", "run", "--model", str(ws / "ckpt"), "--dataset", str(ds),
+                       "--k", "3", "--out", str(out)])
+        assert rc == 1
+        assert f"{qrels}:3: 'rel' must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_compare_two_models(self, ws, tmp_path, capsys):
         model, vocab = load_model(ws / "ckpt")

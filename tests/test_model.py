@@ -28,7 +28,7 @@ from medeir.model import (
 )
 from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary
 from medeir.training import info_nce_loss
-from test_autodiff import attention_chain
+from test_autodiff import packed_attention_chain
 
 TOY = ModelConfig(vocab_size=40, hidden=32, layers=2, heads=4, ffn_dim=64,
                   num_projections=3, max_train_len=80, max_infer_len=256)
@@ -200,20 +200,34 @@ class TestEncoderForward:
     def test_fused_attention_matches_composed_chain(self, monkeypatch):
         """The model's forward and gradients are bitwise those it gets when
         attention runs as the unfused chain of autodiff ops."""
+        self.check_fused_matches_composed(monkeypatch, None)
+
+    def test_fused_attention_matches_composed_chain_over_a_pack(self, monkeypatch):
+        self.check_fused_matches_composed(monkeypatch, ((3, 1), (2, 9), (1, 109)))
+
+    @staticmethod
+    def check_fused_matches_composed(monkeypatch, runs):
         rng = np.random.default_rng(12)
         ids = rng.integers(0, TOY.vocab_size, 130)
 
         def run():
             m = toy_model(seed=4)
-            out = encoder_forward(m, ids)
+            out = encoder_forward(m, ids, runs)
             ad.backward(ad.sum_(ad.mul(out, out)))
             return [out.data] + [p.grad for p in m.named_parameters().values()]
 
         fused = run()
-        monkeypatch.setattr(ad, "attention", attention_chain)
+        monkeypatch.setattr(ad, "attention", packed_attention_chain)
         composed = run()
         for a, b in zip(fused, composed):
             assert np.array_equal(a, b)
+
+    def test_runs_must_cover_the_ids(self):
+        m = toy_model()
+        with pytest.raises(ValueError):
+            encoder_forward(m, np.arange(9), ((2, 4),))
+        with pytest.raises(ValueError):
+            encoder_forward(m, np.arange(9), ((1, 4), (1, TOY.max_infer_len + 1)))
 
     def test_deterministic(self):
         ids = np.array([3, 1, 4, 1, 5])
@@ -229,7 +243,7 @@ class TestFloat32Model:
         m = toy_model(seed=1)
         ids = np.array([3, 8, 2, 9, 14])
         assert encoder_forward(m, ids).dtype == np.float32
-        assert mlm_loss(m, ids, [1, 3], ids).dtype == np.float32
+        assert mlm_loss(m, [ids], [[1, 3]], [ids]).dtype == np.float32
         q = ad.stack([embed_sequence(m, ids[:3]), embed_sequence(m, ids[1:])])
         p = ad.stack([embed_sequence(m, ids[2:]), embed_sequence(m, ids[:4])])
         assert q.dtype == np.float32
@@ -243,7 +257,7 @@ class TestFloat32Model:
         m = toy_model(seed=1, dtype=np.float64)
         ids = np.array([3, 8, 2])
         assert encoder_forward(m, ids).dtype == np.float64
-        assert mlm_loss(m, ids, [1], ids).dtype == np.float64
+        assert mlm_loss(m, [ids], [[1]], [ids]).dtype == np.float64
 
 
 @pytest.fixture(scope="module")
@@ -321,20 +335,19 @@ class TestEmbedBatch:
         calls = []
         real = model_module.encoder_forward
 
-        def counting(model, ids):
-            calls.append(np.shape(ids))
-            return real(model, ids)
+        def counting(model, ids, runs=None):
+            calls.append(sum(count for count, _ in runs))  # sequences per forward
+            return real(model, ids, runs)
 
         monkeypatch.setattr(model_module, "encoder_forward", counting)
         whole = embed_texts(model, tok, texts)
         assert len(calls) == 1
         seq_len = len(ids[0])
-        # room for two sequences' attention weights per forward
-        monkeypatch.setattr(model_module, "_GROUP_FLOATS",
-                            2 * model.config.heads * seq_len * seq_len)
+        # a token budget with room for two sequences per forward
+        monkeypatch.setattr(model_module, "_PACK_TOKENS", 2 * seq_len + 1)
         calls.clear()
         split = embed_texts(model, tok, texts)
-        assert [shape[0] for shape in calls] == [2, 2, 1]
+        assert calls == [2, 2, 1]
         assert np.array_equal(whole, split)
 
     def test_graph_size_does_not_grow_with_equal_length_texts(self, setup):
@@ -346,6 +359,62 @@ class TestEmbedBatch:
             return len(ad.ComputationTape.build(loss).nodes)
 
         assert nodes(6) == nodes(1)
+
+    def test_graph_size_does_not_grow_with_distinct_lengths(self, setup):
+        """N texts of N distinct lengths run as one forward: their graph has
+        as many nodes as that of one text."""
+        model, _ = setup
+        rng = np.random.default_rng(6)
+        id_lists = [rng.integers(5, 30, n).tolist() for n in range(2, 26)]
+
+        def nodes(batch):
+            loss = ad.sum_(embed_batch(model, batch))
+            return len(ad.ComputationTape.build(loss).nodes)
+
+        assert nodes(id_lists) == nodes(id_lists[-1:])
+
+    @pytest.mark.parametrize("config", [TOY, ModelConfig(
+        vocab_size=40, hidden=128, layers=1, heads=4, ffn_dim=512, num_projections=2,
+        max_train_len=64, max_infer_len=64)], ids=["toy", "ffn512"])
+    def test_every_length_in_one_pack_is_bitwise_its_own_forward(self, config, monkeypatch):
+        """Texts of every length from 1 to N, duplicates, 1-token texts and
+        a text cut at max_infer_len, packed together, split over packs by a
+        small token budget, and each alone, give the same bits."""
+        model = toy_model(seed=3, config=config)
+        rng = np.random.default_rng(2)
+        n = 40
+        id_lists = [rng.integers(0, config.vocab_size, length).tolist()
+                    for length in range(1, n + 1)]
+        id_lists += [id_lists[0], id_lists[4], [7]]
+        long = rng.integers(0, config.vocab_size, config.max_infer_len + 9).tolist()
+        id_lists.append(long[:config.max_infer_len])
+        order = rng.permutation(len(id_lists))
+        id_lists = [id_lists[i] for i in order]
+        with ad.no_grad():
+            packed = embed_batch(model, id_lists).data
+            alone = np.stack([embed_batch(model, [ids]).data[0] for ids in id_lists])
+            monkeypatch.setattr(model_module, "_PACK_TOKENS", 50)
+            split = embed_batch(model, id_lists).data
+        assert np.array_equal(packed, alone)
+        assert np.array_equal(split, alone)
+        one_token = [i for i, ids in enumerate(id_lists) if len(ids) == 1]
+        assert len(one_token) == 3
+
+    def test_min_rows_puts_each_product_on_one_blas_path(self):
+        """The rows of every position-wise product over a pack of at least
+        _min_rows rows are bitwise those of any larger product."""
+        rng = np.random.default_rng(0)
+        for config in (TOY, ModelConfig(vocab_size=40, hidden=128, ffn_dim=512),
+                       ModelConfig(vocab_size=40, hidden=40, heads=4, ffn_dim=200),
+                       ModelConfig(vocab_size=40, hidden=16, heads=2, ffn_dim=24)):
+            low = model_module._min_rows(config)
+            d, f = config.hidden, config.ffn_dim
+            for k, n in ((d, d), (d, f), (f, d)):
+                x = rng.standard_normal((1200, k)).astype(np.float32)
+                w = rng.standard_normal((k, n)).astype(np.float32)
+                full = x @ w
+                for rows in range(low, 1000, 7):
+                    assert np.array_equal(x[:rows] @ w, full[:rows]), (k, n, rows)
 
     def test_empty_inputs(self, setup):
         model, tok = setup
@@ -463,7 +532,7 @@ def _masked_loss_fn(model, targets):
     ids[positions] = targets
     corrupted = ids.copy()
     corrupted[positions] = 4
-    return lambda _: mlm_loss(model, corrupted, positions, ids)
+    return lambda _: mlm_loss(model, [corrupted], [positions], [ids])
 
 
 class TestTargetLossGradients:
@@ -512,7 +581,7 @@ class TestTargetLossGradients:
         m = toy_model(config=cfg, seed=1)
         ids = np.array([5, 700, 2000, 2999, 9, 12, 1500, 8])
         positions = [0, 1, 2, 3, 6]   # head and both tails of (600, 1800, 3000)
-        loss = mlm_loss(m, ids, positions, ids)
+        loss = mlm_loss(m, [ids], [positions], [ids])
         computed = [node for node in ad.ComputationTape.build(loss).nodes if node._parents]
         assert len(computed) > 50
         for node in computed:
@@ -539,20 +608,44 @@ class TestMlmLoss:
         for t in m.mlm_head.tail_down + m.mlm_head.tail_out:
             t.data[:] = 0.0
         ids = np.array([3, 8, 2, 9])
-        loss = mlm_loss(m, ids, [0, 2], ids)
+        loss = mlm_loss(m, [ids], [[0, 2]], [ids])
         assert loss.item() == pytest.approx(math.log(TOY.vocab_size), abs=1e-4)
 
     def test_fresh_model_close_to_ln_v(self):
         m = toy_model(seed=8)
         rng = np.random.default_rng(4)
         ids = rng.integers(0, TOY.vocab_size, 24)
-        loss = mlm_loss(m, ids, list(range(0, 24, 3)), ids).item()
+        loss = mlm_loss(m, [ids], [list(range(0, 24, 3))], [ids]).item()
         assert abs(loss - math.log(TOY.vocab_size)) / math.log(TOY.vocab_size) < 0.05
 
     def test_empty_positions_rejected(self):
         m = toy_model()
         with pytest.raises(ValueError):
-            mlm_loss(m, np.array([1, 2]), [], np.array([1, 2]))
+            mlm_loss(m, [np.array([1, 2])], [[]], [np.array([1, 2])])
+
+    @pytest.mark.parametrize("positions, targets", [
+        ([[0], [3]], [[1, 2], [3, 4, 5]]),      # position past its sequence
+        ([[0], [-1]], [[1, 2], [3, 4, 5]]),     # negative position
+        ([[0], [1]], [[1, 2], [3, 4]]),         # targets shorter than the sequence
+        ([[0]], [[1, 2], [3, 4, 5]]),           # one position set for two sequences
+    ])
+    def test_positions_and_targets_must_fit_their_sequences(self, positions, targets):
+        with pytest.raises(ValueError):
+            mlm_loss(toy_model(), [[1, 2], [3, 4, 5]], positions, targets)
+        with pytest.raises(ValueError):
+            mlm_loss(toy_model(), [], [], [])
+
+    def test_packed_loss_is_the_mean_of_per_sequence_losses(self):
+        m = toy_model(seed=3)
+        rng = np.random.default_rng(5)
+        seqs = [rng.integers(5, TOY.vocab_size, n).tolist() for n in (7, 3, 7, 12, 1)]
+        positions = [[1, 4], [0], [6], [2, 3, 11], [0]]
+        corrupted = [[4 if i in pos else t for i, t in enumerate(seq)]
+                     for seq, pos in zip(seqs, positions)]
+        packed = mlm_loss(m, corrupted, positions, seqs).item()
+        alone = [mlm_loss(m, [c], [p], [s]).item()
+                 for c, p, s in zip(corrupted, positions, seqs)]
+        assert packed == pytest.approx(np.mean(alone), rel=1e-6)
 
     def test_mlm_loss_grad_check(self):
         cfg = ModelConfig(vocab_size=20, hidden=16, layers=2, heads=2, ffn_dim=24,
@@ -562,7 +655,7 @@ class TestMlmLoss:
         positions = [1, 4]
 
         def loss_fn(_):
-            return mlm_loss(m, ids, positions, ids)
+            return mlm_loss(m, [ids], [positions], [ids])
 
         rng = np.random.default_rng(9)
         for name in ("embedding.table", "embedding.scorer", "layers.0.wq",

@@ -752,7 +752,7 @@ def mlm_per_sequence(model, batch, mask_rate, mask_id, rng):
         positions = select_whole_word_mask(seq, mask_rate, rng)
         if positions:
             corrupted, targets = apply_mask(seq, positions, mask_id)
-            losses.append(mlm_loss(model, corrupted, positions, targets))
+            losses.append(mlm_loss(model, [corrupted], [positions], [targets]))
     total = losses[0]
     for extra in losses[1:]:
         total = ad.add(total, extra)
