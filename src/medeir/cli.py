@@ -8,11 +8,12 @@ failure. Every output file is written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .checkpoint import atomic_write_text, checkpoint_hash, numbered_jsonl, write_jsonl
 from .datapipe import (
@@ -39,6 +40,7 @@ from .evaluation import (
 )
 from .model import EncoderModel, embed_text, embed_texts, load_model
 from .tokenizer import (
+    EncodedSequence,
     TokenizerModel,
     Vocabulary,
     merge_vocabularies,
@@ -168,17 +170,24 @@ def _cmd_data_mine(args) -> None:
 # ---------------------------------------------------------------------------
 # training commands
 
+def _mlm_chunks(path: Path, vocab: Vocabulary) -> Iterator[EncodedSequence]:
+    """Each chunk line of path as an EncodedSequence, read and checked one
+    line at a time as the stage asks for it."""
+    size = len(vocab)
+    for line, blob in numbered_jsonl(path):
+        ids = blob.get("ids")
+        if not (isinstance(ids, list)
+                and all(type(i) is int and 0 <= i < size for i in ids)):
+            raise ValueError(f"{path}:{line}: 'ids' must be a list of token ids "
+                             f"in [0, {size}), got {ids!r}")
+        yield sequence_from_ids(vocab, ids)
+
+
 def _load_stage_data(stage: str, path: Path, vocab: Vocabulary):
+    """The stage's training data: a generator of chunks for mlm (close it
+    when the stage ends), a list of PairSource for the pair stages."""
     if stage == "mlm":
-        chunks, size = [], len(vocab)
-        for line, blob in numbered_jsonl(path):
-            ids = blob.get("ids")
-            if not (isinstance(ids, list)
-                    and all(type(i) is int and 0 <= i < size for i in ids)):
-                raise ValueError(f"{path}:{line}: 'ids' must be a list of token ids "
-                                 f"in [0, {size}), got {ids!r}")
-            chunks.append(sequence_from_ids(vocab, ids))
-        return chunks
+        return _mlm_chunks(path, vocab)
     grouped: dict[str, list] = {}
     if stage == "contrastive":
         for pair in read_pairs(path):
@@ -207,8 +216,9 @@ def _cmd_train(args) -> None:
     model, tokenizer = _load_checkpoint(args.init)
     data = _load_stage_data(stage, Path(args.data), tokenizer.vocab)
     out = Path(args.out)
-    records = run_stage(config, model, tokenizer, data, out_dir=out,
-                        log_path=out / "train_log.jsonl")
+    with contextlib.closing(data) if stage == "mlm" else contextlib.nullcontext():
+        records = run_stage(config, model, tokenizer, data, out_dir=out,
+                            log_path=out / "train_log.jsonl")
     losses = [r["loss"] for r in records if "loss" in r]
     final = f"{losses[-1]:.4f}" if losses else "n/a"
     print(f"{stage}: {len(losses)} optimizer steps, final loss {final} -> {out}")

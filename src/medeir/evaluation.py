@@ -8,7 +8,7 @@ stay ties; ties break by ascending row index, which is doc id order here.
 
 A dataset is three JSON-lines files in one directory: queries.jsonl and
 corpus.jsonl with {"id", "text"}, and qrels.jsonl with {"qid", "did",
-"rel"} where rel is a non-negative integer grade. Reports carry raw rows
+"rel"}; every id is a JSON string and rel is a non-negative integer grade. Reports carry raw rows
 (percent scale) plus enough metadata to trace which checkpoint produced
 them.
 """
@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .checkpoint import (atomic_write_bytes, atomic_write_text, numbered_jsonl,
-                         read_jsonl, string_field, write_jsonl)
+                         string_field, write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
 from .tokenizer import CONTINUATION_PREFIX, TokenizerModel
@@ -45,6 +45,12 @@ class RetrievalDataset:
     def __post_init__(self):
         if not self.queries:
             raise ValueError(f"dataset {self.name!r} has no queries")
+        corpus = self.corpus.keys()
+        if self.qrels.keys() <= self.queries.keys() and all(
+                rels.keys() <= corpus and min(rels.values(), default=0) >= 0
+                for rels in self.qrels.values()):
+            return
+        # something is wrong: find the first offender in qrels order
         for qid, rels in self.qrels.items():
             if qid not in self.queries:
                 raise ValueError(f"qrels references unknown query {qid!r}")
@@ -359,7 +365,12 @@ def load_dataset(directory: Path) -> RetrievalDataset:
         rel = blob.get("rel")
         if type(rel) is not int or rel < 0:  # a bool is not a grade
             raise ValueError(f"{path}:{line}: 'rel' must be an integer >= 0, got {rel!r}")
-        qrels.setdefault(str(blob["qid"]), {})[str(blob["did"])] = rel
+        qid, did = blob.get("qid"), blob.get("did")
+        if type(qid) is not str:
+            raise _id_error(path, line, "qid", qid)
+        if type(did) is not str:
+            raise _id_error(path, line, "did", did)
+        qrels.setdefault(qid, {})[did] = rel
     info = directory / "dataset.json"
     if info.exists():
         with open(info, "r", encoding="utf-8") as fh:
@@ -381,10 +392,17 @@ def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
                  for did in sorted(dataset.qrels[qid])))
 
 
+def _id_error(path: Path, line: int, key: str, value) -> ValueError:
+    """An id is a JSON string: a number is not taken for one."""
+    return ValueError(f"{path}:{line}: {key!r} must be a string, got {value!r}")
+
+
 def _read_id_text(path: Path) -> dict[str, str]:
     table: dict[str, str] = {}
-    for blob in read_jsonl(path):
-        key = str(blob["id"])
+    for line, blob in numbered_jsonl(path):
+        key = blob.get("id")
+        if type(key) is not str:
+            raise _id_error(path, line, "id", key)
         if key in table:
             raise ValueError(f"duplicate id {key!r} in {path}")
         table[key] = string_field(blob, "text", path)

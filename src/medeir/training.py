@@ -277,11 +277,11 @@ def apply_mask(seq: EncodedSequence, positions: Iterable[int],
                mask_id: int) -> tuple[list[int], list[int]]:
     """Replace the ids at the given positions with mask_id; return
     (corrupted, originals)."""
-    valid = set(range(len(seq.ids))) - set(seq.special_positions)
+    size, specials = len(seq.ids), seq.special_positions
     targets = list(seq.ids)
     corrupted = list(seq.ids)
     for pos in positions:
-        if pos not in valid:
+        if not 0 <= pos < size or pos in specials:
             raise ValueError(f"position {pos} is not a maskable index")
         corrupted[pos] = mask_id
     return corrupted, targets
@@ -539,11 +539,13 @@ def run_stage(config: StageConfig, model: EncoderModel,
               log_path: Path | None = None) -> list[dict]:
     """Train one stage; returns the loss records it logged.
 
-    data is a sequence of EncodedSequence, none longer than config.max_len,
-    for the MLM stage, or a list of PairSource for the contrastive and
-    hard-negative stages; either pair stage trains on the negatives its items
-    carry. A finite MLM stream may end early; a partial accumulation at the
-    end is dropped and noted in the log.
+    data is any iterable of EncodedSequence, none longer than
+    config.max_len, for the MLM stage, or a list of PairSource for the
+    contrastive and hard-negative stages; either pair stage trains on the
+    negatives its items carry. The MLM stage takes its sequences in order,
+    one micro-batch at a time, and takes no more than total_steps x
+    global_batch of them. A finite MLM stream may end early; a partial
+    accumulation at the end is dropped and noted in the log.
     """
     rng = np.random.default_rng(config.seed)
     params = model.named_parameters()

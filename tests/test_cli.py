@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import medeir.checkpoint as checkpoint
 import medeir.cli as cli
-from medeir.checkpoint import load_arrays, save_arrays
+from medeir.checkpoint import load_arrays, read_jsonl, save_arrays
 from medeir.cli import dispatch
 from medeir.datapipe import read_documents, read_hard_negatives, read_pairs
 from medeir.evaluation import load_report
 from medeir.model import ModelConfig, build_model, load_model, save_model
-from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary
+from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary, sequence_from_ids
+from medeir.training import StageConfig, run_stage
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsil", "zeta", "eta", "theta"]
 
@@ -339,6 +341,104 @@ class TestTrainCommands:
         assert not out.exists()
 
 
+def write_chunks(path, count, tail=""):
+    """count six-token chunks of word ids, then tail; returns their id lists."""
+    chunks = [[5 + (i + j) % len(WORDS) for j in range(6)] for i in range(count)]
+    path.write_text("".join(json.dumps({"ids": ids}) + "\n" for ids in chunks) + tail)
+    return chunks
+
+
+def train_mlm(ws, tmp_path, chunks, out, **overrides):
+    return dispatch(["train", "mlm",
+                     "--config", str(stage_config(tmp_path, "mlm", **overrides)),
+                     "--data", str(chunks), "--init", str(ws / "ckpt"),
+                     "--out", str(out)])
+
+
+def read_log(out):
+    return [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
+
+
+class TestStreamedMlm:
+    """train mlm reads its chunk file one line at a time, as far as its
+    steps go, and closes it when the stage ends."""
+
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    def test_bytes_equal_run_stage_on_the_materialized_list(self, ws, tmp_path,
+                                                            grad_accum):
+        chunks = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, 13)
+        out = tmp_path / "streamed"
+        overrides = dict(total_steps=3, global_batch=4, grad_accum=grad_accum)
+        assert train_mlm(ws, tmp_path, chunks, out, **overrides) == 0
+
+        model, vocab = load_model(ws / "ckpt")
+        data = [sequence_from_ids(vocab, row["ids"]) for row in read_jsonl(chunks)]
+        config = StageConfig.from_dict(
+            json.loads(stage_config(tmp_path, "mlm", **overrides).read_text()))
+        listed = tmp_path / "listed"
+        run_stage(config, model, TokenizerModel(vocab), data, out_dir=listed,
+                  log_path=listed / "train_log.jsonl")
+        for name in ("params.bin", "train_log.jsonl"):
+            assert (out / name).read_bytes() == (listed / name).read_bytes(), name
+
+    def test_converts_exactly_the_trained_chunks(self, ws, tmp_path, monkeypatch):
+        converted = []
+        convert = cli.sequence_from_ids
+        monkeypatch.setattr(cli, "sequence_from_ids",
+                            lambda vocab, ids: converted.append(ids) or convert(vocab, ids))
+        chunks = tmp_path / "chunks.jsonl"
+        rows = write_chunks(chunks, 20)
+        out = tmp_path / "ckpt_mlm"
+        assert train_mlm(ws, tmp_path, chunks, out, total_steps=3, global_batch=4,
+                         grad_accum=2) == 0
+        assert converted == rows[:3 * 4]
+        assert [r["step"] for r in read_log(out)] == [1, 2, 3]
+
+    def test_line_after_the_trained_chunks_is_not_read(self, ws, tmp_path):
+        chunks = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, 4, tail="not json\n")
+        out = tmp_path / "ckpt_mlm"
+        assert train_mlm(ws, tmp_path, chunks, out) == 0  # 2 steps x 2 chunks
+        assert [r["step"] for r in read_log(out)] == [1, 2]
+
+    def test_short_file_drops_the_partial_accumulation(self, ws, tmp_path):
+        chunks = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, 3)
+        out = tmp_path / "ckpt_mlm"
+        assert train_mlm(ws, tmp_path, chunks, out, global_batch=2, grad_accum=2) == 0
+        log = read_log(out)
+        assert [r["step"] for r in log if "loss" in r] == [1]
+        assert log[-1] == {"step": 2, "stage": "mlm",
+                           "event": "partial_accumulation_dropped", "micro_batches": 1}
+
+    @pytest.mark.parametrize("max_len, code", [(16, 0), (4, 1)],
+                             ids=["success", "failure"])
+    def test_chunk_file_is_closed_when_the_stage_ends(self, ws, tmp_path, monkeypatch,
+                                                      max_len, code):
+        streams, handles = [], []
+        load = cli._load_stage_data
+        monkeypatch.setattr(cli, "_load_stage_data",
+                            lambda *args: streams.append(load(*args)) or streams[-1])
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(checkpoint, "open", recording_open, raising=False)
+        chunks = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, 8)
+        out = tmp_path / "ckpt_mlm"
+        # 6-token chunks: max_len 4 fails the first micro-batch
+        assert train_mlm(ws, tmp_path, chunks, out, max_len=max_len) == code
+        assert out.exists() == (code == 0)
+        # streams still refers to the generator, so only the stage can have
+        # closed it
+        [stream] = streams
+        assert stream.gi_frame is None
+        assert [fh.closed for fh in handles if fh.name == str(chunks)] == [True]
+
+
 class TestEmbedCommand:
     def test_unit_vector_json_line(self, ws, capsys):
         rc = dispatch(["embed", "--model", str(ws / "ckpt"),
@@ -382,6 +482,31 @@ class TestEvalCommands:
                        "--k", "3", "--out", str(out)])
         assert rc == 1
         assert f"{qrels}:3: 'rel' must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [None, 7, True], ids=["missing", "number", "bool"])
+    @pytest.mark.parametrize("name, row, key", [
+        ("queries", {"id": "q2", "text": "zeta"}, "id"),
+        ("corpus", {"id": "d3", "text": "eta"}, "id"),
+        ("qrels", {"qid": "q1", "did": "d1", "rel": 1}, "qid"),
+        ("qrels", {"qid": "q1", "did": "d1", "rel": 1}, "did"),
+    ], ids=["query-id", "doc-id", "qid", "did"])
+    def test_id_that_is_not_a_string_exits_one(self, ws, tmp_path, capsys, name, row,
+                                               key, value):
+        ds = tmp_path / "dataset"
+        shutil.copytree(ws / "dataset", ds)
+        path = ds / f"{name}.jsonl"
+        bad = {k: v for k, v in row.items() if k != key}
+        if value is not None:
+            bad[key] = value
+        lines = path.read_text().splitlines() + [json.dumps(bad)]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        rc = dispatch(["eval", "run", "--model", str(ws / "ckpt"), "--dataset", str(ds),
+                       "--k", "3", "--out", str(out)])
+        assert rc == 1
+        expected = f"{path}:{len(lines)}: {key!r} must be a string, got {value!r}"
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_compare_two_models(self, ws, tmp_path, capsys):

@@ -154,6 +154,31 @@ class TestRetrievalRun:
             retrieval_run(mut, ds, k=2)
 
 
+class TestDatasetChecks:
+    """RetrievalDataset names the first offending qrels entry, in qrels
+    order and each query's docs in order, as one loop over them would."""
+
+    @pytest.mark.parametrize("qrels, message", [
+        ({"q1": {"d1": 1}, "qA": {"d1": 1}, "qB": {"dB": -1}},
+         "qrels references unknown query 'qA'"),
+        ({"q1": {"d1": 1, "dA": -1, "dB": 1}}, "qrels references unknown doc 'dA'"),
+        ({"q1": {"d1": 1, "d2": -1}, "q2": {"d1": -2}},
+         "negative relevance grade for 'd2'"),
+        ({"q2": {"d2": -1}, "qA": {"dA": 1}}, "negative relevance grade for 'd2'"),
+        ({"q1": {"dA": 1}, "qA": {"d1": -1}}, "qrels references unknown doc 'dA'"),
+        ({"q2": {"d1": 0, "dA": 1}, "q1": {"d1": -1}}, "qrels references unknown doc 'dA'"),
+    ], ids=["query", "doc", "grade", "grade-before-query", "doc-before-query",
+            "doc-before-grade"])
+    def test_names_the_first_offender(self, qrels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_dataset(queries={"q1": "a", "q2": "b"}, qrels=qrels)
+
+    def test_accepts_zero_grades_and_a_query_without_judgements(self):
+        ds = make_dataset(queries={"q1": "a", "q2": "b"},
+                          qrels={"q1": {"d1": 0, "d2": 3}, "q2": {}})
+        assert ds.qrels["q2"] == {}
+
+
 class TestDatasetScores:
     def test_matches_per_query_oracle(self, mut):
         ds = make_dataset(

@@ -427,6 +427,13 @@ class TestApplyMask:
         with pytest.raises(ValueError):
             apply_mask(seq, [99], 4)
 
+    @pytest.mark.parametrize("edge", ["before", "past"])
+    def test_position_just_outside_the_sequence_rejected(self, edge):
+        seq = encode_words(["ab", "cd"])
+        pos = -1 if edge == "before" else len(seq.ids)
+        with pytest.raises(ValueError, match=f"position {pos} is not a maskable index"):
+            apply_mask(seq, [1, pos], 4)
+
     def test_special_position_rejected(self):
         vocab = letters_vocab()
         seq = EncodedSequence(ids=[vocab.id_of["[CLS]"], vocab.id_of["a"]],
