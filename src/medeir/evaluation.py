@@ -45,12 +45,6 @@ class RetrievalDataset:
     def __post_init__(self):
         if not self.queries:
             raise ValueError(f"dataset {self.name!r} has no queries")
-        corpus = self.corpus.keys()
-        if self.qrels.keys() <= self.queries.keys() and all(
-                rels.keys() <= corpus and min(rels.values(), default=0) >= 0
-                for rels in self.qrels.values()):
-            return
-        # something is wrong: find the first offender in qrels order
         for qid, rels in self.qrels.items():
             if qid not in self.queries:
                 raise ValueError(f"qrels references unknown query {qid!r}")
