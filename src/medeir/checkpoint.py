@@ -8,12 +8,15 @@ Model-level saves add sidecar files (config.json, vocab.txt) on top; those
 live with the model code.
 
 This module also holds the package's file I/O. Every file the package
-writes goes through atomic_write_bytes: the bytes go to a uniquely named
-temp file in the target's directory, which is fsynced and then renamed over
-the target, and removed again if anything fails, so a crash never leaves a
-half-written artifact behind. JSON-lines files are written by write_jsonl
-and read by read_jsonl, or by numbered_jsonl where an error names the line;
-string_field reads one text field of a row.
+writes goes through atomic_write_bytes, which takes an iterable of
+bytes-like chunks and writes each to a uniquely named temp file in the
+target's directory as it comes; the file is fsynced and then renamed over
+the target, or removed again if anything fails (the chunk source included),
+so a crash never leaves a half-written artifact behind. JSON-lines files are
+written by write_jsonl, one line at a time, and read by read_jsonl, or by
+numbered_jsonl where an error names the line; string_field reads one text
+field of a row, and id_error is the one message for an id that is not a
+JSON string.
 config_from_dict turns a JSON object read from a file into a config
 dataclass, checking each value's JSON type.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import fields
@@ -56,11 +60,13 @@ _JSON_TYPES = {
 }
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Replace path with data in one step, creating its directory if needed.
+def atomic_write_bytes(path: Path, chunks: Iterable) -> None:
+    """Replace path with the concatenation of chunks, an iterable of
+    bytes-like objects, in one step, creating its directory if needed.
 
-    The file gets the mode a plain open() would give it. On any failure the
-    temp file is removed and the target keeps its old bytes.
+    Each chunk is written as it comes. The file gets the mode a plain open()
+    would give it. On any failure, including one raised by the chunk
+    source, the temp file is removed and the target keeps its old bytes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -71,7 +77,8 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates it 0600
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -82,13 +89,14 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
 def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    """One json.dumps(row, ensure_ascii=False) per line, written atomically."""
-    atomic_write_text(path, "".join(json.dumps(row, ensure_ascii=False) + "\n"
-                                    for row in rows))
+    """One json.dumps(row, ensure_ascii=False) per line, written atomically
+    as the rows come."""
+    atomic_write_bytes(path, ((json.dumps(row, ensure_ascii=False) + "\n").encode()
+                              for row in rows))
 
 
 _RAW_DECODE = json.JSONDecoder().raw_decode
@@ -129,6 +137,11 @@ def read_jsonl(path: Path) -> Iterator[dict]:
     return (row for _, row in numbered_jsonl(path))
 
 
+def id_error(path: Path, line: int, key: str, value) -> ValueError:
+    """An id is a JSON string: a number is not taken for one."""
+    return ValueError(f"{path}:{line}: {key!r} must be a string, got {value!r}")
+
+
 def string_field(row: dict, key: str, path: Path, default: str | None = None) -> str:
     """row[key], which must be a string; a missing key gives default, or a
     ValueError naming path when default is None."""
@@ -162,30 +175,38 @@ def config_from_dict(cls: type, blob: dict):
 
 
 def save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays as manifest.json + params.bin under directory."""
+    """Write named arrays as manifest.json + params.bin under directory.
+
+    params.bin is written from each array's own memory (a contiguous array
+    of the stored dtype is not copied)."""
     directory = Path(directory)
     entries = []
-    blob = bytearray()
+    chunks = []
+    offset = 0
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         canonical = _CANONICAL.get(np.dtype(arr.dtype.name))
         if canonical is None:
             raise ValueError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[canonical]).tobytes()
+        raw = np.ascontiguousarray(arr, dtype=_DTYPES[canonical]).reshape(-1)
+        raw = raw.view(np.uint8)  # the array's own bytes, not a copy
         entries.append({
             "name": name,
             "shape": list(arr.shape),
             "dtype": canonical,
-            "offset": len(blob),
+            "offset": offset,
         })
-        blob.extend(raw)
+        chunks.append(raw)
+        offset += raw.nbytes
     manifest = {"version": CHECKPOINT_VERSION, "tensors": entries}
     atomic_write_text(directory / "manifest.json",
                       json.dumps(manifest, indent=2) + "\n")
-    atomic_write_bytes(directory / "params.bin", bytes(blob))
+    atomic_write_bytes(directory / "params.bin", chunks)
 
 
 def load_arrays(directory: Path) -> dict[str, np.ndarray]:
+    """The named arrays under directory. params.bin is read once into one
+    writable buffer; each array is a view of it (on a little-endian host)."""
     directory = Path(directory)
     with open(directory / "manifest.json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -193,17 +214,27 @@ def load_arrays(directory: Path) -> dict[str, np.ndarray]:
         raise ValueError("checkpoint manifest missing version field")
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
-    blob = (directory / "params.bin").read_bytes()
+    with open(directory / "params.bin", "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]  # in case the file shrank meanwhile
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
         dtype = np.dtype(_DTYPES[entry["dtype"]])
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * dtype.itemsize
-        arr = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape)
-        arrays[entry["name"]] = arr.astype(dtype.newbyteorder("="))
+        arr = np.frombuffer(blob, dtype=dtype, count=math.prod(shape),
+                            offset=entry["offset"]).reshape(shape)
+        arrays[entry["name"]] = arr.astype(dtype.newbyteorder("="), copy=False)
     return arrays
+
+
+_HASH_BLOCK = 1 << 16
+
+
+def _hash_file(digest, path: Path) -> None:
+    """Feed path's bytes to digest one block at a time."""
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
 
 
 def checkpoint_hash(directory: Path) -> str:
@@ -214,9 +245,11 @@ def checkpoint_hash(directory: Path) -> str:
         path = directory / name
         if path.exists():
             digest.update(name.encode())
-            digest.update(path.read_bytes())
+            _hash_file(digest, path)
     return digest.hexdigest()
 
 
 def file_hash(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    _hash_file(digest, Path(path))
+    return digest.hexdigest()

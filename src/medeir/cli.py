@@ -170,9 +170,10 @@ def _cmd_data_mine(args) -> None:
 # ---------------------------------------------------------------------------
 # training commands
 
-def _mlm_chunks(path: Path, vocab: Vocabulary) -> Iterator[EncodedSequence]:
+def _mlm_chunks(path: Path, vocab: Vocabulary, max_len: int) -> Iterator[EncodedSequence]:
     """Each chunk line of path as an EncodedSequence, read and checked one
-    line at a time as the stage asks for it."""
+    line at a time as the stage asks for it; a chunk longer than max_len is
+    an error naming its line."""
     size = len(vocab)
     for line, blob in numbered_jsonl(path):
         ids = blob.get("ids")
@@ -180,14 +181,17 @@ def _mlm_chunks(path: Path, vocab: Vocabulary) -> Iterator[EncodedSequence]:
                 and all(type(i) is int and 0 <= i < size for i in ids)):
             raise ValueError(f"{path}:{line}: 'ids' must be a list of token ids "
                              f"in [0, {size}), got {ids!r}")
+        if len(ids) > max_len:
+            raise ValueError(f"{path}:{line}: an MLM sequence of {len(ids)} tokens "
+                             f"exceeds max_len {max_len}")
         yield sequence_from_ids(vocab, ids)
 
 
-def _load_stage_data(stage: str, path: Path, vocab: Vocabulary):
+def _load_stage_data(stage: str, path: Path, vocab: Vocabulary, max_len: int):
     """The stage's training data: a generator of chunks for mlm (close it
     when the stage ends), a list of PairSource for the pair stages."""
     if stage == "mlm":
-        return _mlm_chunks(path, vocab)
+        return _mlm_chunks(path, vocab, max_len)
     grouped: dict[str, list] = {}
     if stage == "contrastive":
         for pair in read_pairs(path):
@@ -214,7 +218,7 @@ def _cmd_train(args) -> None:
                         f"subcommand trains {stage!r}")
     config = StageConfig.from_dict(blob)
     model, tokenizer = _load_checkpoint(args.init)
-    data = _load_stage_data(stage, Path(args.data), tokenizer.vocab)
+    data = _load_stage_data(stage, Path(args.data), tokenizer.vocab, config.max_len)
     out = Path(args.out)
     with contextlib.closing(data) if stage == "mlm" else contextlib.nullcontext():
         records = run_stage(config, model, tokenizer, data, out_dir=out,

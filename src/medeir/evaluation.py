@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import (atomic_write_bytes, atomic_write_text, numbered_jsonl,
-                         string_field, write_jsonl)
+from .checkpoint import (atomic_write_bytes, atomic_write_text, id_error,
+                         numbered_jsonl, string_field, write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
 from .tokenizer import CONTINUATION_PREFIX, TokenizerModel
@@ -109,7 +109,7 @@ def _embed_corpus(mut: ModelUnderTest, corpus: Mapping[str, str],
     if cache_path is not None:
         buffer = io.BytesIO()
         np.savez(buffer, ids=np.array(doc_ids), embeddings=matrix)
-        atomic_write_bytes(cache_path, buffer.getvalue())
+        atomic_write_bytes(cache_path, (buffer.getbuffer(),))
     return doc_ids, matrix
 
 
@@ -361,9 +361,9 @@ def load_dataset(directory: Path) -> RetrievalDataset:
             raise ValueError(f"{path}:{line}: 'rel' must be an integer >= 0, got {rel!r}")
         qid, did = blob.get("qid"), blob.get("did")
         if type(qid) is not str:
-            raise _id_error(path, line, "qid", qid)
+            raise id_error(path, line, "qid", qid)
         if type(did) is not str:
-            raise _id_error(path, line, "did", did)
+            raise id_error(path, line, "did", did)
         qrels.setdefault(qid, {})[did] = rel
     info = directory / "dataset.json"
     if info.exists():
@@ -386,17 +386,12 @@ def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
                  for did in sorted(dataset.qrels[qid])))
 
 
-def _id_error(path: Path, line: int, key: str, value) -> ValueError:
-    """An id is a JSON string: a number is not taken for one."""
-    return ValueError(f"{path}:{line}: {key!r} must be a string, got {value!r}")
-
-
 def _read_id_text(path: Path) -> dict[str, str]:
     table: dict[str, str] = {}
     for line, blob in numbered_jsonl(path):
         key = blob.get("id")
         if type(key) is not str:
-            raise _id_error(path, line, "id", key)
+            raise id_error(path, line, "id", key)
         if key in table:
             raise ValueError(f"duplicate id {key!r} in {path}")
         table[key] = string_field(blob, "text", path)

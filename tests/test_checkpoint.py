@@ -1,11 +1,13 @@
 """The package's file I/O: the atomic writer, the JSON-lines helpers, and
 the exact bytes of every pipeline file written through them."""
 
+import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +29,8 @@ from medeir.tokenizer import SPECIAL_TOKENS, Vocabulary
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "sub" / "out.bin"
-        atomic_write_bytes(target, b"first")
-        atomic_write_bytes(target, b"second")
+        atomic_write_bytes(target, [b"first"])
+        atomic_write_bytes(target, [b"second"])
         assert target.read_bytes() == b"second"
         assert os.listdir(target.parent) == ["out.bin"]
 
@@ -47,7 +49,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(checkpoint.os, "fsync", broken_fsync)
         with pytest.raises(OSError, match="disk full"):
-            atomic_write_bytes(target, b"new contents\n")
+            atomic_write_bytes(target, [b"new contents\n"])
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["out.jsonl"]
 
@@ -64,12 +66,56 @@ class TestAtomicWrite:
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["out.jsonl"]
 
+    def test_chunks_are_written_in_order(self, tmp_path):
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, [b"ab", bytearray(b"cd"), memoryview(b"ef"), b"",
+                                    np.arange(3, dtype=np.uint8)])
+        assert target.read_bytes() == b"abcdef\x00\x01\x02"
+        atomic_write_bytes(target, [])
+        assert target.read_bytes() == b""
+
+    def test_chunk_source_that_raises_keeps_old_bytes(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old\n")
+
+        def chunks():
+            yield b"new" * 10_000
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write_bytes(target, chunks())
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
     def test_stale_tmp_directory_does_not_block(self, tmp_path):
         target = tmp_path / "vocab.txt"
         (tmp_path / "vocab.txt.tmp").mkdir()
-        atomic_write_bytes(target, b"[PAD]\n")
+        atomic_write_bytes(target, [b"[PAD]\n"])
         assert target.read_bytes() == b"[PAD]\n"
         assert sorted(os.listdir(tmp_path)) == ["vocab.txt", "vocab.txt.tmp"]
+
+
+class TestHashing:
+    """Files are hashed in blocks; the digests are those of the whole file."""
+
+    def test_file_hash_over_several_blocks(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(2 * checkpoint._HASH_BLOCK + 123))
+        whole = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert checkpoint.file_hash(path) == whole
+        path.write_bytes(b"")
+        assert checkpoint.file_hash(path) == hashlib.sha256(b"").hexdigest()
+
+    def test_checkpoint_hash_over_several_blocks(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("{}\n")
+        (tmp_path / "params.bin").write_bytes(
+            np.random.default_rng(1).bytes(3 * checkpoint._HASH_BLOCK + 5))
+        (tmp_path / "vocab.txt").write_text("[PAD]\n")
+        whole = hashlib.sha256()
+        for name in ("manifest.json", "params.bin", "vocab.txt"):  # no config.json
+            whole.update(name.encode())
+            whole.update((tmp_path / name).read_bytes())
+        assert checkpoint.checkpoint_hash(tmp_path) == whole.hexdigest()
 
 
 class TestReadJsonl:

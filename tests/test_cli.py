@@ -412,6 +412,25 @@ class TestStreamedMlm:
         assert log[-1] == {"step": 2, "stage": "mlm",
                            "event": "partial_accumulation_dropped", "micro_batches": 1}
 
+    def test_chunk_longer_than_max_len_names_file_and_line(self, ws, tmp_path, capsys):
+        chunks = tmp_path / "chunks.jsonl"
+        chunks.write_text(json.dumps({"ids": [5, 6, 7]}) + "\n"
+                          + json.dumps({"ids": [5, 6, 7, 8, 9, 10]}) + "\n")
+        out = tmp_path / "ckpt_mlm"
+        assert train_mlm(ws, tmp_path, chunks, out, max_len=4) == 1
+        err = capsys.readouterr().err
+        assert f"{chunks}:2: an MLM sequence of 6 tokens exceeds max_len 4" in err
+        assert "internal error" not in err and not out.exists()
+
+    def test_run_stage_still_rejects_a_sequence_longer_than_max_len(self, ws, tmp_path):
+        model, vocab = load_model(ws / "ckpt")
+        config = StageConfig.from_dict(
+            json.loads(stage_config(tmp_path, "mlm", max_len=4).read_text()))
+        data = [sequence_from_ids(vocab, [5, 6, 7, 8, 9, 10])] * 2
+        with pytest.raises(ValueError,
+                           match="an MLM sequence of 6 tokens exceeds max_len 4"):
+            run_stage(config, model, TokenizerModel(vocab), data)
+
     @pytest.mark.parametrize("max_len, code", [(16, 0), (4, 1)],
                              ids=["success", "failure"])
     def test_chunk_file_is_closed_when_the_stage_ends(self, ws, tmp_path, monkeypatch,
@@ -568,9 +587,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "model format 1" in err and "model format 2" in err
 
+    @pytest.mark.parametrize("keep", [0.5, -8], ids=["half", "last-8-bytes"])
+    def test_truncated_params_bin_exits_one(self, ws, tmp_path, capsys, keep):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws / "ckpt", ckpt)
+        blob = (ckpt / "params.bin").read_bytes()
+        (ckpt / "params.bin").write_bytes(blob[:int(len(blob) * keep)] if keep > 0
+                                          else blob[:keep])
+        with pytest.raises(ValueError):
+            load_arrays(ckpt)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        assert "internal error" not in capsys.readouterr().err
+
     def test_text_that_is_not_a_string_exits_one(self, tmp_path, capsys):
         src = tmp_path / "raw.jsonl"
-        src.write_text('{"id": 1, "text": 123}\n')
+        src.write_text('{"id": "1", "text": 123}\n')
         rc = dispatch(["data", "clean", "--in", str(src),
                        "--out", str(tmp_path / "out.jsonl")])
         assert rc == 1

@@ -453,11 +453,23 @@ class TestJsonl:
         assert read_hard_negatives(path) == records
 
     @pytest.mark.parametrize("row", [
-        {"id": 1, "text": 123}, {"id": 1}, {"id": 1, "text": "x", "source": 7}])
+        {"id": "1", "text": 123}, {"id": "1"}, {"id": "1", "text": "x", "source": 7}])
     def test_documents_need_string_fields(self, tmp_path, row):
         path = tmp_path / "docs.jsonl"
         path.write_text(json.dumps(row) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_documents(path)
+
+    @pytest.mark.parametrize("row", [{"text": "alpha beta"}, {"id": 7, "text": "x"},
+                                     {"id": True, "text": "x"}],
+                             ids=["missing", "number", "bool"])
+    def test_document_id_must_be_a_json_string(self, tmp_path, row):
+        # a number is not read as an id, so it cannot collide with "7"
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"id": "7", "text": "y"}) + "\n"
+                        + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: 'id' must be a string, got {row.get('id')!r}")):
             read_documents(path)
 
     @pytest.mark.parametrize("row", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -711,6 +712,65 @@ class TestSaveLoad:
         a = encoder_forward(model, ids).data
         b = encoder_forward(loaded, ids).data
         assert np.array_equal(a, b)
+
+    def test_load_save_load_keeps_the_bytes(self, tmp_path):
+        vocab = self._vocab()
+        cfg = ModelConfig(vocab_size=len(vocab), hidden=16, layers=1, heads=2,
+                          ffn_dim=24, max_train_len=32, max_infer_len=64)
+        model = build_model(cfg, seed=3, token_counts=np.arange(len(vocab)))
+        save_model(tmp_path / "a", model, vocab)
+        loaded, loaded_vocab = load_model(tmp_path / "a")
+        params = loaded.named_parameters()
+        for name, p in params.items():
+            flags = p.data.flags
+            assert flags.writeable and flags.c_contiguous and flags.aligned, name
+            assert p.data.dtype == np.float32 and p.data.dtype.isnative, name
+        assert loaded.mlm_head.token_order.dtype == np.int64
+        save_model(tmp_path / "b", loaded, loaded_vocab)
+        for name in ("manifest.json", "params.bin", "config.json", "vocab.txt"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+        again, _ = load_model(tmp_path / "b")
+        for name, p in again.named_parameters().items():
+            assert np.array_equal(p.data, params[name].data), name
+        # the parameters share one buffer but no bytes: each can be written alone
+        for i, p in enumerate(params.values()):
+            p.data[...] = i
+        for i, (name, p) in enumerate(params.items()):
+            assert (p.data == i).all(), name
+
+    def _large(self, tmp_path):
+        """A checkpoint whose params.bin is a few MB (a 4,096 x 256 table),
+        its model and vocabulary, and the size of params.bin."""
+        vocab = Vocabulary(list(SPECIAL_TOKENS) + [f"w{i:04d}" for i in range(4091)])
+        cfg = ModelConfig(vocab_size=len(vocab), hidden=256, layers=1, heads=4,
+                          ffn_dim=256, num_projections=2, max_train_len=32,
+                          max_infer_len=64)
+        model = build_model(cfg, seed=0)
+        save_model(tmp_path / "ckpt", model, vocab)
+        return model, vocab, (tmp_path / "ckpt" / "params.bin").stat().st_size
+
+    def test_load_peak_memory_is_about_one_copy(self, tmp_path):
+        _, _, size = self._large(tmp_path)
+        assert size > 4_000_000
+        tracemalloc.start()
+        try:
+            load_model(tmp_path / "ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * size, peak / size
+
+    def test_save_adds_no_copy_of_the_parameters(self, tmp_path):
+        model, vocab, size = self._large(tmp_path)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            save_model(tmp_path / "again", model, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= 0.1 * size, (peak - live) / size
 
     def test_config_json_bytes(self, tmp_path):
         # key order and layout are part of the checkpoint format
