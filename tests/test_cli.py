@@ -587,13 +587,13 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "model format 1" in err and "model format 2" in err
 
-    @pytest.mark.parametrize("keep", [0.5, -8], ids=["half", "last-8-bytes"])
-    def test_truncated_params_bin_exits_one(self, ws, tmp_path, capsys, keep):
+    @pytest.mark.parametrize("stop", [lambda n: n // 2, lambda n: n - 8],
+                             ids=["half", "last-8-bytes"])
+    def test_truncated_params_bin_exits_one(self, ws, tmp_path, capsys, stop):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(ws / "ckpt", ckpt)
         blob = (ckpt / "params.bin").read_bytes()
-        (ckpt / "params.bin").write_bytes(blob[:int(len(blob) * keep)] if keep > 0
-                                          else blob[:keep])
+        (ckpt / "params.bin").write_bytes(blob[:stop(len(blob))])
         with pytest.raises(ValueError):
             load_arrays(ckpt)
         assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
