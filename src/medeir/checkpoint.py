@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -100,18 +101,40 @@ def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
 
 
 _RAW_DECODE = json.JSONDecoder().raw_decode
+_HASH_BLOCK = 1 << 16
 
 
-def numbered_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+class _DigestFile(io.FileIO):
+    """A file opened for reading whose every block read is fed to a digest.
+    A BufferedReader over it reads by readinto alone when iterated by line."""
+
+    def __init__(self, path: Path, digest):
+        super().__init__(path, "rb")
+        self._digest = digest
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        if n:
+            self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def numbered_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
     """Yield (line number, JSON object) for each non-blank line of a UTF-8
     file.
 
     A line that is not UTF-8 or does not hold a JSON object raises
     ValueError naming path:line. Each line is decoded by one call into the
     C scanner; json.loads runs only on a line that fails, to raise the
-    decoder's own message.
+    decoder's own message. A given hashlib digest is fed the file's bytes as
+    they are read, so once the file is read to its end it covers exactly the
+    bytes that were parsed.
     """
-    with open(path, "rb") as fh:
+    if digest is None:
+        fh = open(path, "rb")
+    else:
+        fh = io.BufferedReader(_DigestFile(path, digest), _HASH_BLOCK)
+    with fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -225,9 +248,6 @@ def load_arrays(directory: Path) -> dict[str, np.ndarray]:
                             offset=entry["offset"]).reshape(shape)
         arrays[entry["name"]] = arr.astype(dtype.newbyteorder("="), copy=False)
     return arrays
-
-
-_HASH_BLOCK = 1 << 16
 
 
 def _hash_file(digest, path: Path) -> None:

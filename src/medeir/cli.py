@@ -239,19 +239,33 @@ def _cmd_embed(args) -> None:
 
 
 def _cmd_eval_run(args) -> None:
+    cache_dir = default_cache_dir()
     mut = _model_under_test(args.model)
-    dataset = load_dataset(Path(args.dataset))
-    report = compare_models([mut], [dataset], k=args.k,
-                            cache_dir=default_cache_dir())
+    dataset = load_dataset(Path(args.dataset), cache_dir)
+    report = compare_models([mut], [dataset], k=args.k, cache_dir=cache_dir)
     save_report(Path(args.out), report)
     print(render_table(report), end="")
 
 
+def _require_distinct_names(kind: str, named: Sequence[tuple[str, str]]) -> None:
+    """Report rows are keyed by name, so two inputs of one name would merge."""
+    seen: dict[str, str] = {}
+    for name, path in named:
+        if name in seen:
+            raise UserError(f"{kind} {seen[name]} and {path} are both named {name!r}")
+        seen[name] = path
+
+
 def _cmd_eval_compare(args) -> None:
-    models = [_model_under_test(p) for p in args.models.split(",") if p]
-    datasets = [load_dataset(Path(p)) for p in args.datasets.split(",") if p]
-    report = compare_models(models, datasets, k=args.k,
-                            cache_dir=default_cache_dir())
+    cache_dir = default_cache_dir()
+    model_paths = [p for p in args.models.split(",") if p]
+    models = [_model_under_test(p) for p in model_paths]
+    _require_distinct_names("models", [(m.name, p) for m, p in zip(models, model_paths)])
+    dataset_paths = [p for p in args.datasets.split(",") if p]
+    datasets = [load_dataset(Path(p), cache_dir) for p in dataset_paths]
+    _require_distinct_names("datasets", [(d.name, p)
+                                         for d, p in zip(datasets, dataset_paths)])
+    report = compare_models(models, datasets, k=args.k, cache_dir=cache_dir)
     if args.out:
         save_report(Path(args.out), report)
     print(render_table(report), end="")

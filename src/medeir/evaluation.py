@@ -8,9 +8,14 @@ stay ties; ties break by ascending row index, which is doc id order here.
 
 A dataset is three JSON-lines files in one directory: queries.jsonl and
 corpus.jsonl with {"id", "text"}, and qrels.jsonl with {"qid", "did",
-"rel"}; every id is a JSON string and rel is a non-negative integer grade. Reports carry raw rows
-(percent scale) plus enough metadata to trace which checkpoint produced
-them.
+"rel"}; every id is a JSON string and rel is a non-negative integer grade.
+An optional dataset.json names it. Reports carry raw rows (percent scale)
+plus enough metadata to trace which checkpoint produced them.
+
+With a cache directory (MEDEIR_CACHE for the CLI), work is kept across
+runs: corpus embeddings as <checkpoint>-<tokenizer>-<corpus>.npz, and the
+parsed dataset files as dataset-<sha256>.json, keyed by the files' bytes,
+so a warm run embeds no corpus document and parses no JSON line.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import (atomic_write_bytes, atomic_write_text, id_error,
+from .checkpoint import (atomic_write_bytes, atomic_write_text, file_hash, id_error,
                          numbered_jsonl, string_field, write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
@@ -347,15 +352,46 @@ def load_report(path: Path) -> EvalReport:
 # ---------------------------------------------------------------------------
 # dataset files
 
-def load_dataset(directory: Path) -> RetrievalDataset:
+_DATASET_FILES = ("queries", "corpus", "qrels")
+
+
+def load_dataset(directory: Path, cache_dir: Path | None = None) -> RetrievalDataset:
     """Read a dataset directory. Its name is the one dataset.json records,
-    or else the directory's name."""
+    or else the directory's name.
+
+    With a cache_dir, a parsed copy of the three JSON-lines files is kept
+    there as dataset-<key>.json, the key being the sha256 of the three files'
+    sha256 digests. A later load of the same bytes decodes that entry in one
+    json.loads instead of reading the files line by line, and writes nothing;
+    an entry that does not decode to the three tables is a miss and is
+    rewritten.
+    """
     directory = Path(directory)
-    queries = _read_id_text(directory / "queries.jsonl")
-    corpus = _read_id_text(directory / "corpus.jsonl")
+    paths = [directory / f"{part}.jsonl" for part in _DATASET_FILES]
+    tables = digests = None
+    if cache_dir is not None:
+        tables = _read_dataset_entry(
+            _dataset_entry(cache_dir, [file_hash(path) for path in paths]))
+        if tables is None:
+            digests = [hashlib.sha256() for _ in paths]
+    if tables is None:
+        tables = _parse_dataset(paths, digests or [None] * len(paths))
+    dataset = RetrievalDataset(_dataset_name(directory), *tables)
+    if digests is not None:
+        # keyed by the bytes parsed, which may differ from the bytes hashed above
+        entry = _dataset_entry(cache_dir, [d.hexdigest() for d in digests])
+        atomic_write_bytes(entry, _dataset_entry_chunks(tables))
+    return dataset
+
+
+def _parse_dataset(paths: Sequence[Path], digests: Sequence) -> tuple[dict, dict, dict]:
+    """The queries, corpus and qrels tables; each file's bytes are fed to
+    its digest, if any, as they are parsed."""
+    queries = _read_id_text(paths[0], digests[0])
+    corpus = _read_id_text(paths[1], digests[1])
     qrels: dict[str, dict[str, int]] = {}
-    path = directory / "qrels.jsonl"
-    for line, blob in numbered_jsonl(path):
+    path = paths[2]
+    for line, blob in numbered_jsonl(path, digests[2]):
         rel = blob.get("rel")
         if type(rel) is not int or rel < 0:  # a bool is not a grade
             raise ValueError(f"{path}:{line}: 'rel' must be an integer >= 0, got {rel!r}")
@@ -365,13 +401,53 @@ def load_dataset(directory: Path) -> RetrievalDataset:
         if type(did) is not str:
             raise id_error(path, line, "did", did)
         qrels.setdefault(qid, {})[did] = rel
+    return queries, corpus, qrels
+
+
+def _dataset_name(directory: Path) -> str:
     info = directory / "dataset.json"
-    if info.exists():
-        with open(info, "r", encoding="utf-8") as fh:
-            name = str(json.load(fh)["name"])
-    else:
-        name = directory.name
-    return RetrievalDataset(name=name, queries=queries, corpus=corpus, qrels=qrels)
+    if not info.exists():
+        return directory.name
+    with open(info, "r", encoding="utf-8") as fh:
+        try:
+            blob = json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{info}: invalid JSON: {err}") from err
+    if not isinstance(blob, dict):
+        raise ValueError(f"{info}: expected a JSON object, got {type(blob).__name__}")
+    name = blob.get("name")
+    if type(name) is not str:
+        raise ValueError(f"{info}: 'name' must be a string, got {name!r}")
+    return name
+
+
+def _dataset_entry(cache_dir: Path, file_digests: Sequence[str]) -> Path:
+    key = hashlib.sha256("".join(file_digests).encode("ascii")).hexdigest()
+    return Path(cache_dir) / f"dataset-{key}.json"
+
+
+def _read_dataset_entry(path: Path) -> tuple[dict, dict, dict] | None:
+    """The three tables of a cache entry, or None when it is missing, does
+    not decode, or its top level is not the three objects."""
+    try:
+        blob = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+    if (not isinstance(blob, dict) or blob.keys() != set(_DATASET_FILES)
+            or not all(isinstance(table, dict) for table in blob.values())):
+        return None
+    return tuple(blob[part] for part in _DATASET_FILES)
+
+
+def _dataset_entry_chunks(tables: Sequence[dict]) -> Iterator[bytes]:
+    """A cache entry's JSON object, one chunk per table. json.dumps escapes
+    every non-ASCII character, so a lone surrogate survives the UTF-8 file."""
+    opener = b"{"
+    for part, table in zip(_DATASET_FILES, tables):
+        yield opener + f'"{part}":'.encode("ascii")
+        yield json.dumps(table, separators=(",", ":")).encode("ascii")
+        opener = b","
+    yield b"}"
 
 
 def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
@@ -386,14 +462,14 @@ def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
                  for did in sorted(dataset.qrels[qid])))
 
 
-def _read_id_text(path: Path) -> dict[str, str]:
+def _read_id_text(path: Path, digest) -> dict[str, str]:
     table: dict[str, str] = {}
-    for line, blob in numbered_jsonl(path):
+    for line, blob in numbered_jsonl(path, digest):
         key = blob.get("id")
         if type(key) is not str:
             raise id_error(path, line, "id", key)
         if key in table:
-            raise ValueError(f"duplicate id {key!r} in {path}")
+            raise ValueError(f"{path}:{line}: duplicate id {key!r}")
         table[key] = string_field(blob, "text", path)
     return table
 

@@ -58,19 +58,26 @@ class Vocabulary:
 
     def __init__(self, tokens: Iterable[str]):
         self.tokens = list(tokens)
-        self.id_of: dict[str, int] = {}
-        for i, tok in enumerate(self.tokens):
-            if not tok:
-                raise ValueError("empty token string")
-            if tok == CONTINUATION_PREFIX:
-                raise ValueError("bare continuation prefix is not a valid token")
-            if tok in self.id_of:
-                raise ValueError(f"duplicate token {tok!r}")
-            self.id_of[tok] = i
+        self.id_of: dict[str, int] = dict(zip(self.tokens, range(len(self.tokens))))
+        if (len(self.id_of) != len(self.tokens) or "" in self.id_of
+                or CONTINUATION_PREFIX in self.id_of):
+            self._raise_first_fault()
         for sp in SPECIAL_TOKENS:
             if sp not in self.id_of:
                 raise ValueError(f"special token {sp!r} missing from vocabulary")
         self._special_ids = frozenset(self.id_of[sp] for sp in SPECIAL_TOKENS)
+
+    def _raise_first_fault(self) -> None:
+        """Raise for the first bad token in id order."""
+        seen: set[str] = set()
+        for tok in self.tokens:
+            if not tok:
+                raise ValueError("empty token string")
+            if tok == CONTINUATION_PREFIX:
+                raise ValueError("bare continuation prefix is not a valid token")
+            if tok in seen:
+                raise ValueError(f"duplicate token {tok!r}")
+            seen.add(tok)
 
     def __len__(self) -> int:
         return len(self.tokens)

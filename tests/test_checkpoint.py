@@ -124,6 +124,18 @@ class TestReadJsonl:
         path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
         assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]
 
+    @pytest.mark.parametrize("tail", [b"", b"\n\n", b'{"a": 7}'], ids=["newline", "blank",
+                                                                     "no-newline"])
+    def test_digest_covers_the_bytes_read(self, tmp_path, tail):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"i": i, "text": "x" * (i % 97)} for i in range(4000)]
+        path.write_bytes("".join(json.dumps(r) + "\n" for r in rows).encode() + tail)
+        assert path.stat().st_size > 2 * checkpoint._HASH_BLOCK
+        digest = hashlib.sha256()
+        got = [row for _, row in checkpoint.numbered_jsonl(path, digest)]
+        assert got == rows + ([{"a": 7}] if tail.strip() else [])
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
     @pytest.mark.parametrize("bad", [b"{not json", b"[1, 2]", b'{"a": "\xff"}'])
     def test_bad_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "rows.jsonl"

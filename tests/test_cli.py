@@ -545,6 +545,92 @@ class TestEvalCommands:
         assert "ckpt2" in capsys.readouterr().out
 
 
+    def test_malformed_line_with_a_cache_exits_one_and_writes_no_entry(
+            self, ws, tmp_path, capsys, monkeypatch):
+        ds = tmp_path / "dataset"
+        shutil.copytree(ws / "dataset", ds)
+        qrels = ds / "qrels.jsonl"
+        qrels.write_text(qrels.read_text() + '{"qid": "q1", "did": \n')
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("MEDEIR_CACHE", str(cache))
+        out = tmp_path / "report.json"
+        rc = dispatch(["eval", "run", "--model", str(ws / "ckpt"), "--dataset", str(ds),
+                       "--k", "3", "--out", str(out)])
+        assert rc == 1
+        assert f"{qrels}:2: invalid JSON line" in capsys.readouterr().err
+        assert not out.exists()
+        assert not cache.exists()
+
+    def test_warm_eval_run_reads_no_dataset_line(self, ws, tmp_path, capsys,
+                                                 monkeypatch, dataset_reads):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("MEDEIR_CACHE", str(cache))
+        outs = [tmp_path / "cold.json", tmp_path / "warm.json"]
+        for out in outs:
+            assert dispatch(["eval", "run", "--model", str(ws / "ckpt"),
+                             "--dataset", str(ws / "dataset"), "--k", "3",
+                             "--out", str(out)]) == 0
+        assert len(dataset_reads) == 3
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(list(cache.glob("dataset-*.json"))) == 1
+        assert len(list(cache.glob("*.npz"))) == 1
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_eval_compare_parses_each_dataset_once(self, ws, tmp_path, capsys,
+                                                   monkeypatch, dataset_reads, cached):
+        model, vocab = load_model(ws / "ckpt")
+        other = tmp_path / "ckpt2"
+        save_model(other, model, vocab)
+        second = tmp_path / "second"
+        shutil.copytree(ws / "dataset", second)
+        (second / "queries.jsonl").write_text(
+            json.dumps({"id": "q1", "text": "zeta eta"}) + "\n")
+        if cached:
+            monkeypatch.setenv("MEDEIR_CACHE", str(tmp_path / "cache"))
+        rc = dispatch(["eval", "compare", "--models", f"{ws / 'ckpt'},{other}",
+                       "--datasets", f"{ws / 'dataset'},{second}", "--k", "2"])
+        assert rc == 0
+        assert sorted(dataset_reads) == sorted(d / f"{part}.jsonl"
+                                       for d in (ws / "dataset", second)
+                                       for part in ("queries", "corpus", "qrels"))
+
+    def test_eval_compare_rejects_two_models_of_one_name(self, ws, tmp_path, capsys):
+        other = tmp_path / "b" / "ckpt"
+        shutil.copytree(ws / "ckpt", other)
+        out = tmp_path / "cmp.json"
+        rc = dispatch(["eval", "compare", "--models", f"{ws / 'ckpt'},{other}",
+                       "--datasets", str(ws / "dataset"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"models {ws / 'ckpt'} and {other} are both named 'ckpt'" in err
+        assert not out.exists()
+
+    def test_eval_compare_rejects_two_datasets_of_one_name(self, ws, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        for directory in (first, second):
+            shutil.copytree(ws / "dataset", directory)
+            (directory / "dataset.json").write_text('{"name": "same"}')
+        out = tmp_path / "cmp.json"
+        rc = dispatch(["eval", "compare", "--models", str(ws / "ckpt"),
+                       "--datasets", f"{first},{second}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"datasets {first} and {second} are both named 'same'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["{}", "[1]", '{"name": 7}'],
+                             ids=["no-name", "list", "number"])
+    def test_bad_dataset_json_exits_one_naming_it(self, ws, tmp_path, capsys, content):
+        ds = tmp_path / "dataset"
+        shutil.copytree(ws / "dataset", ds)
+        (ds / "dataset.json").write_text(content)
+        rc = dispatch(["eval", "run", "--model", str(ws / "ckpt"), "--dataset", str(ds),
+                       "--k", "3", "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{ds / 'dataset.json'}: " in err and "internal error" not in err
+
+
 def edited_checkpoint(ws, tmp_path, **changes):
     """A copy of the workspace checkpoint with config.json fields changed."""
     ckpt = tmp_path / "ckpt"

@@ -1,6 +1,7 @@
 """Evaluation tests: metrics against hand formulas, ranking behavior,
 report shape, and the embedding cache."""
 
+import hashlib
 import json
 import math
 import re
@@ -24,6 +25,7 @@ from medeir.evaluation import (
     save_dataset,
     save_report,
 )
+from medeir.checkpoint import file_hash
 from medeir.model import ModelConfig, build_model, embed_texts
 from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary
 
@@ -327,6 +329,29 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_dataset(tmp_path / "ds")
 
+    def test_duplicate_id_names_file_and_line(self, tmp_path):
+        save_dataset(tmp_path / "ds", make_dataset())
+        path = tmp_path / "ds" / "corpus.jsonl"
+        path.write_text(path.read_text() + json.dumps({"id": "d1", "text": "x"}) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: duplicate id 'd1'")):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("content, message", [
+        ("{}", "'name' must be a string, got None"),
+        ('{"name": 7}', "'name' must be a string, got 7"),
+        ('{"name": null}', "'name' must be a string, got None"),
+        ("[1]", "expected a JSON object, got list"),
+        ('"ds"', "expected a JSON object, got str"),
+        ('{"name": ', "invalid JSON"),
+    ], ids=["no-name", "number", "null", "list", "string", "truncated"])
+    def test_dataset_json_must_be_an_object_with_a_string_name(self, tmp_path,
+                                                               content, message):
+        save_dataset(tmp_path / "ds", make_dataset())
+        info = tmp_path / "ds" / "dataset.json"
+        info.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(f"{info}: {message}")):
+            load_dataset(tmp_path / "ds")
+
     def test_qrels_must_reference_corpus(self):
         with pytest.raises(ValueError):
             make_dataset(qrels={"q1": {"ghost": 1}})
@@ -377,6 +402,165 @@ class TestEmbeddingCache:
         assert ev.default_cache_dir() == tmp_path / "c"
         monkeypatch.delenv("MEDEIR_CACHE")
         assert ev.default_cache_dir() is None
+
+
+def dataset_tables(ds):
+    """Every table of a dataset, with its dict order."""
+    return (list(ds.queries.items()), list(ds.corpus.items()),
+            [(qid, list(rels.items())) for qid, rels in ds.qrels.items()])
+
+
+def cache_stat(cache):
+    return [(p.name, p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_size)
+            for p in sorted(cache.iterdir())]
+
+
+class TestDatasetCache:
+    @pytest.fixture
+    def ds_dir(self, tmp_path):
+        directory = tmp_path / "ds"
+        save_dataset(directory, make_dataset(
+            queries={"q2": "c", "q1": "a b"},
+            corpus={"d2": "c d", "d1": "a b", "d3": "e"},
+            qrels={"q2": {"d3": 0, "d2": 2}, "q1": {"d1": 1}},
+        ))
+        return directory
+
+    def test_second_load_reads_no_line_and_writes_nothing(self, ds_dir, tmp_path,
+                                                          dataset_reads):
+        cache = tmp_path / "cache"
+        first = load_dataset(ds_dir, cache)
+        assert len(dataset_reads) == 3
+        entries = list(cache.glob("dataset-*.json"))
+        assert len(entries) == 1 and re.fullmatch(r"dataset-[0-9a-f]{64}\.json",
+                                                  entries[0].name)
+        before = cache_stat(cache)
+        second = load_dataset(ds_dir, cache)
+        assert len(dataset_reads) == 3
+        assert cache_stat(cache) == before
+        assert second == first
+        assert dataset_tables(second) == dataset_tables(first)
+        assert dataset_tables(first) == dataset_tables(load_dataset(ds_dir))
+        assert second.name == "toy-ds"
+
+    def test_name_is_read_on_every_load(self, ds_dir, tmp_path):
+        cache = tmp_path / "cache"
+        load_dataset(ds_dir, cache)
+        (ds_dir / "dataset.json").write_text('{"name": "renamed"}')
+        assert load_dataset(ds_dir, cache).name == "renamed"
+        (ds_dir / "dataset.json").unlink()
+        assert load_dataset(ds_dir, cache).name == "ds"
+        assert len(list(cache.iterdir())) == 1
+
+    def test_key_is_the_hash_of_the_three_file_hashes(self, ds_dir, tmp_path):
+        cache = tmp_path / "cache"
+        load_dataset(ds_dir, cache)
+        hashes = "".join(file_hash(ds_dir / f"{part}.jsonl")
+                         for part in ("queries", "corpus", "qrels"))
+        key = hashlib.sha256(hashes.encode()).hexdigest()
+        assert [p.name for p in cache.iterdir()] == [f"dataset-{key}.json"]
+
+    @pytest.mark.parametrize("part, old, new", [
+        ("queries", '"a b"', '"a c"'),
+        ("corpus", '"e"', '"f"'),
+        ("qrels", '"rel": 1', '"rel": 3'),
+    ])
+    def test_one_changed_byte_is_a_miss(self, ds_dir, tmp_path, dataset_reads,
+                                        part, old, new):
+        cache = tmp_path / "cache"
+        load_dataset(ds_dir, cache)
+        path = ds_dir / f"{part}.jsonl"
+        text = path.read_text()
+        assert text.count(old) == 1 and len(old) == len(new)
+        path.write_text(text.replace(old, new))
+        del dataset_reads[:]
+        changed = load_dataset(ds_dir, cache)
+        assert len(dataset_reads) == 3
+        assert len(list(cache.glob("dataset-*.json"))) == 2
+        assert dataset_tables(changed) == dataset_tables(load_dataset(ds_dir))
+
+    def test_file_rewritten_after_the_lookup_is_cached_under_its_new_bytes(
+            self, ds_dir, tmp_path, monkeypatch, dataset_reads):
+        cache = tmp_path / "cache"
+        qrels = ds_dir / "qrels.jsonl"
+        real = ev.file_hash
+
+        def hash_then_rewrite(path):
+            digest = real(path)
+            if path == qrels:
+                path.write_text(path.read_text().replace('"rel": 1', '"rel": 2'))
+            return digest
+
+        monkeypatch.setattr(ev, "file_hash", hash_then_rewrite)
+        loaded = load_dataset(ds_dir, cache)
+        assert loaded.qrels["q1"] == {"d1": 2}
+        monkeypatch.setattr(ev, "file_hash", real)
+        paths = [ds_dir / f"{part}.jsonl" for part in ("queries", "corpus", "qrels")]
+        entry = ev._dataset_entry(cache, [file_hash(p) for p in paths])
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+        del dataset_reads[:]
+        assert dataset_tables(load_dataset(ds_dir, cache)) == dataset_tables(loaded)
+        assert dataset_reads == []
+
+    @pytest.mark.parametrize("corrupt", [
+        b"", b"not json", b"\xff\xfe", b"[1]", b'{"queries": {}, "corpus": {}}',
+        b'{"queries": {}, "corpus": {}, "qrels": []}',
+        b'{"queries": {}, "corpus": {}, "qrels": {}, "extra": {}}',
+    ], ids=["empty", "text", "not-utf8", "list", "two-tables", "qrels-list",
+            "four-tables"])
+    def test_corrupt_entry_is_a_miss_and_is_rewritten(self, ds_dir, tmp_path,
+                                                      dataset_reads, corrupt):
+        cache = tmp_path / "cache"
+        load_dataset(ds_dir, cache)
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        entry.write_bytes(corrupt)
+        del dataset_reads[:]
+        loaded = load_dataset(ds_dir, cache)
+        assert len(dataset_reads) == 3
+        assert entry.read_bytes() == good
+        assert dataset_tables(loaded) == dataset_tables(load_dataset(ds_dir))
+
+    def test_invalid_dataset_writes_no_entry(self, ds_dir, tmp_path):
+        cache = tmp_path / "cache"
+        qrels = ds_dir / "qrels.jsonl"
+        qrels.write_text(qrels.read_text() + json.dumps(
+            {"qid": "q1", "did": "ghost", "rel": 1}) + "\n")
+        with pytest.raises(ValueError, match="unknown doc 'ghost'"):
+            load_dataset(ds_dir, cache)
+        assert not cache.exists()
+
+    def test_texts_and_grades_round_trip_exactly(self, tmp_path, dataset_reads):
+        directory = tmp_path / "ds"
+        directory.mkdir()
+        texts = ["nul\x00byte", "non-bmp \U0001F9EC", "lone \ud800 surrogate",
+                 "low \udfff", "\u2028 line separator", 'quote " and \\']
+        # both forms a file may hold: raw UTF-8, and \u escapes (a lone
+        # surrogate has no other)
+        (directory / "queries.jsonl").write_text(
+            json.dumps({"id": "q\U0001F9EC", "text": "a"}) + "\n", encoding="utf-8")
+        (directory / "corpus.jsonl").write_text("".join(
+            json.dumps({"id": f"d{i}", "text": t}, ensure_ascii="\ud800" in t
+                       or "\udfff" in t) + "\n" for i, t in enumerate(texts)),
+            encoding="utf-8")
+        (directory / "qrels.jsonl").write_text(
+            json.dumps({"qid": "q\U0001F9EC", "did": "d0", "rel": 2 ** 64 + 1}) + "\n"
+            + json.dumps({"qid": "q\U0001F9EC", "did": "d2", "rel": 0}) + "\n")
+        cache = tmp_path / "cache"
+        parsed = load_dataset(directory, cache)
+        del dataset_reads[:]
+        hit = load_dataset(directory, cache)
+        assert dataset_reads == []
+        assert [hit.corpus[f"d{i}"] for i in range(len(texts))] == texts
+        assert dataset_tables(hit) == dataset_tables(parsed)
+        grade = hit.qrels["q\U0001F9EC"]["d0"]
+        assert type(grade) is int and grade == 2 ** 64 + 1
+        assert len(list(cache.iterdir())) == 1
+
+    def test_no_cache_dir_writes_nothing(self, ds_dir, tmp_path):
+        before = sorted(tmp_path.rglob("*"))
+        load_dataset(ds_dir)
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def reference_top_k(queries, rows, k):

@@ -1,3 +1,4 @@
+import re
 import unicodedata
 
 import pytest
@@ -55,16 +56,42 @@ class TestVocabulary:
         assert v.token(len(v) - 1) == "##z"
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate token 'a'$"):
             Vocabulary(list(SPECIAL_TOKENS) + ["a", "a"])
+        with pytest.raises(ValueError, match=r"^duplicate token '\[PAD\]'$"):
+            Vocabulary(list(SPECIAL_TOKENS) + ["a", "[PAD]"])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"^empty token string$"):
+            Vocabulary(list(SPECIAL_TOKENS) + ["a", ""])
 
     def test_missing_special_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^special token '\[CLS\]' missing from vocabulary$"):
             Vocabulary(["[PAD]", "[UNK]", "a"])
 
     def test_bare_prefix_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^bare continuation prefix is not a valid token$"):
             Vocabulary(list(SPECIAL_TOKENS) + ["a", "##"])
+
+    @pytest.mark.parametrize("tokens, message", [
+        (list(SPECIAL_TOKENS) + ["b", "a", "b", "", "##", "a"], "duplicate token 'b'"),
+        (list(SPECIAL_TOKENS) + ["", "b", "b", "##"], "empty token string"),
+        (list(SPECIAL_TOKENS) + ["##", "", "b", "b"],
+         "bare continuation prefix is not a valid token"),
+        (["[PAD]", "a", "a"], "duplicate token 'a'"),
+        (["a", "", "[PAD]"], "empty token string"),
+    ], ids=["duplicate", "empty", "bare-prefix", "duplicate-before-missing-special",
+            "empty-before-missing-special"])
+    def test_first_fault_in_token_order_is_named(self, tokens, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Vocabulary(tokens)
+
+    def test_ids_follow_token_order_in_a_large_vocabulary(self):
+        tokens = list(SPECIAL_TOKENS) + [f"w{i}" for i in range(2000)]
+        v = Vocabulary(reversed(tokens))
+        assert v.id_of == {tok: i for i, tok in enumerate(reversed(tokens))}
 
     def test_bad_id_rejected(self):
         v = small_vocab()
