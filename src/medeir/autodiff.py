@@ -378,7 +378,8 @@ def narrow(a, axis: int, start: int, end: int) -> Tensor:
 
 
 def index_select(a, indices) -> Tensor:
-    """Select rows along axis 0; gradients scatter-add back.
+    """Select rows along axis 0, indices in [0, len(a)); gradients
+    scatter-add back.
 
     The backward sums each selected row's gradients in index order. The
     first gradient a receives is that sum scattered into zeros; a later one
@@ -388,8 +389,6 @@ def index_select(a, indices) -> Tensor:
     a = _ensure(a)
     idx = np.asarray(indices, dtype=np.int64)
     out_data = np.take(a.data, idx, axis=0)
-    if idx.size and idx.min() < 0:
-        idx = idx % a.data.shape[0]
 
     def bw(out):
         if not a.requires_grad:
@@ -494,21 +493,25 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def layer_norm(a, eps: float = 1e-12, axis: int = -1) -> Tensor:
-    """Pure normalization to zero mean, unit variance; affine is external."""
+_LAYER_NORM_EPS = 1e-12
+
+
+def layer_norm(a) -> Tensor:
+    """Pure normalization of the last axis to zero mean, unit variance;
+    affine is external."""
     a = _ensure(a)
-    if a.data.shape[axis] == 0:
+    if a.data.shape[-1] == 0:
         raise ValueError("layer_norm over a zero-length axis")
-    mu = a.data.mean(axis=axis, keepdims=True)
-    var = a.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     y = (a.data - mu) * inv
 
     def bw(out):
         if a.requires_grad:
             g = out.grad
-            gm = g.mean(axis=axis, keepdims=True)
-            gy = (g * y).mean(axis=axis, keepdims=True)
+            gm = g.mean(axis=-1, keepdims=True)
+            gy = (g * y).mean(axis=-1, keepdims=True)
             _accumulate(a, inv * (g - gm - y * gy))
 
     return _make(y, (a,), bw)
@@ -683,11 +686,8 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
 
 
 def cross_entropy(logits, targets) -> Tensor:
-    """Mean negative log-likelihood over rows; targets are integer ids."""
-    logits = _ensure(logits)
-    if logits.ndim == 1:
-        logits = reshape(logits, (1, logits.shape[0]))
-        targets = np.asarray([targets], dtype=np.int64)
+    """Mean negative log-likelihood over rows: logits (B, C), targets (B,)
+    integer ids."""
     lp = log_softmax(logits, axis=-1)
     return neg(mean(pick(lp, targets)))
 

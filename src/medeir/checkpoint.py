@@ -60,6 +60,15 @@ _JSON_TYPES = {
                       lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
 }
 
+# what each field of a manifest's tensor entry must be
+_ENTRY_FIELDS = (
+    ("name", "a string", lambda v: isinstance(v, str)),
+    ("shape", "a list of integers >= 0",
+     lambda v: isinstance(v, list) and all(_is_int(n) and n >= 0 for n in v)),
+    ("dtype", f"one of {sorted(_DTYPES)}", lambda v: isinstance(v, str) and v in _DTYPES),
+    ("offset", "an integer >= 0", lambda v: _is_int(v) and v >= 0),
+)
+
 
 def atomic_write_bytes(path: Path, chunks: Iterable) -> None:
     """Replace path with the concatenation of chunks, an iterable of
@@ -165,9 +174,10 @@ def id_error(path: Path, line: int, key: str, value) -> ValueError:
     return ValueError(f"{path}:{line}: {key!r} must be a string, got {value!r}")
 
 
-def string_field(row: dict, key: str, path: Path, default: str | None = None) -> str:
+def string_field(row: dict, key: str, path: Path | str,
+                 default: str | None = None) -> str:
     """row[key], which must be a string; a missing key gives default, or a
-    ValueError naming path when default is None."""
+    ValueError naming path (a file, or file:line) when default is None."""
     if key not in row:
         if default is None:
             raise ValueError(f"{path}: a record has no {key!r} field")
@@ -229,19 +239,30 @@ def save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> None:
 
 def load_arrays(directory: Path) -> dict[str, np.ndarray]:
     """The named arrays under directory. params.bin is read once into one
-    writable buffer; each array is a view of it (on a little-endian host)."""
+    writable buffer; each array is a view of it (on a little-endian host).
+    A manifest field that is missing or of the wrong type is a ValueError
+    naming manifest.json and the field."""
     directory = Path(directory)
-    with open(directory / "manifest.json", "r", encoding="utf-8") as fh:
+    path = directory / "manifest.json"
+    with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if "version" not in manifest:
-        raise ValueError("checkpoint manifest missing version field")
+    if not isinstance(manifest, dict) or "version" not in manifest:
+        raise ValueError(f"{path}: checkpoint manifest missing version field")
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'tensors' must be a list, got {entries!r}")
+    for entry in entries:
+        for key, what, valid in _ENTRY_FIELDS:
+            value = entry.get(key) if isinstance(entry, dict) else None
+            if not valid(value):
+                raise ValueError(f"{path}: tensor {key!r} must be {what}, got {value!r}")
     with open(directory / "params.bin", "rb") as fh:
         blob = bytearray(os.fstat(fh.fileno()).st_size)
         del blob[fh.readinto(blob):]  # in case the file shrank meanwhile
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
+    for entry in entries:
         dtype = np.dtype(_DTYPES[entry["dtype"]])
         shape = tuple(entry["shape"])
         arr = np.frombuffer(blob, dtype=dtype, count=math.prod(shape),

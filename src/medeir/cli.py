@@ -238,15 +238,6 @@ def _cmd_embed(args) -> None:
                       "vector": [float(x) for x in vector]}))
 
 
-def _cmd_eval_run(args) -> None:
-    cache_dir = default_cache_dir()
-    mut = _model_under_test(args.model)
-    dataset = load_dataset(Path(args.dataset), cache_dir)
-    report = compare_models([mut], [dataset], k=args.k, cache_dir=cache_dir)
-    save_report(Path(args.out), report)
-    print(render_table(report), end="")
-
-
 def _require_distinct_names(kind: str, named: Sequence[tuple[str, str]]) -> None:
     """Report rows are keyed by name, so two inputs of one name would merge."""
     seen: dict[str, str] = {}
@@ -256,15 +247,19 @@ def _require_distinct_names(kind: str, named: Sequence[tuple[str, str]]) -> None
         seen[name] = path
 
 
-def _cmd_eval_compare(args) -> None:
+def _path_list(value: str) -> list[str]:
+    """The paths of a comma-separated list; empty items are skipped."""
+    return [p for p in value.split(",") if p]
+
+
+def _cmd_eval(args) -> None:
+    """eval compare; eval run is eval compare of one model on one dataset."""
     cache_dir = default_cache_dir()
-    model_paths = [p for p in args.models.split(",") if p]
-    models = [_model_under_test(p) for p in model_paths]
-    _require_distinct_names("models", [(m.name, p) for m, p in zip(models, model_paths)])
-    dataset_paths = [p for p in args.datasets.split(",") if p]
-    datasets = [load_dataset(Path(p), cache_dir) for p in dataset_paths]
+    models = [_model_under_test(p) for p in args.models]
+    _require_distinct_names("models", [(m.name, p) for m, p in zip(models, args.models)])
+    datasets = [load_dataset(Path(p), cache_dir) for p in args.datasets]
     _require_distinct_names("datasets", [(d.name, p)
-                                         for d, p in zip(datasets, dataset_paths)])
+                                         for d, p in zip(datasets, args.datasets)])
     report = compare_models(models, datasets, k=args.k, cache_dir=cache_dir)
     if args.out:
         save_report(Path(args.out), report)
@@ -351,17 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="retrieval evaluation")
     ev_sub = ev.add_subparsers(dest="subcommand", required=True)
     e = ev_sub.add_parser("run", help="evaluate one checkpoint on one dataset")
-    e.add_argument("--model", required=True, help="checkpoint directory")
-    e.add_argument("--dataset", required=True, help="dataset directory")
+    e.add_argument("--model", dest="models", metavar="MODEL", type=lambda p: [p],
+                   required=True, help="checkpoint directory")
+    e.add_argument("--dataset", dest="datasets", metavar="DATASET", type=lambda p: [p],
+                   required=True, help="dataset directory")
     e.add_argument("--k", type=int, default=10)
     e.add_argument("--out", required=True, help="output report JSON")
-    e.set_defaults(func=_cmd_eval_run)
+    e.set_defaults(func=_cmd_eval)
     e = ev_sub.add_parser("compare", help="compare checkpoints across datasets")
-    e.add_argument("--models", required=True, help="comma-separated checkpoints")
-    e.add_argument("--datasets", required=True, help="comma-separated dataset dirs")
+    e.add_argument("--models", type=_path_list, required=True,
+                   help="comma-separated checkpoints")
+    e.add_argument("--datasets", type=_path_list, required=True,
+                   help="comma-separated dataset dirs")
     e.add_argument("--k", type=int, default=10)
     e.add_argument("--out", default=None, help="optional report JSON")
-    e.set_defaults(func=_cmd_eval_compare)
+    e.set_defaults(func=_cmd_eval)
 
     return parser
 
@@ -370,7 +369,7 @@ def _execute(args) -> int:
     try:
         args.func(args)
         return 0
-    except (UserError, ValueError, OSError, KeyError) as err:
+    except (UserError, ValueError, OSError) as err:
         print(f"medeir: error: {err}", file=sys.stderr)
         return 1
     except Exception as err:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .checkpoint import id_error, numbered_jsonl, read_jsonl, string_field, write_jsonl
+from .checkpoint import id_error, numbered_jsonl, string_field, write_jsonl
 from .evaluation import _top_k
 from .tokenizer import SEP_TOKEN, TokenizerModel
 
@@ -239,12 +239,28 @@ def write_documents(path: Path, docs: Iterable[CorpusDocument]) -> None:
                        for d in docs))
 
 
+def _record(where: str, cls, **values):
+    """cls(**values); a ValueError from its checks names where."""
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from err
+
+
 def read_pairs(path: Path) -> list[SentencePair]:
-    return [SentencePair(query=string_field(blob, "query", path),
-                         positive=string_field(blob, "positive", path),
-                         source_id=string_field(blob, "source_id", path, ""),
-                         similarity=blob.get("similarity"))
-            for blob in read_jsonl(path)]
+    """Each line's pair; "similarity", when present, must be a number."""
+    pairs = []
+    for line, blob in numbered_jsonl(path):
+        where = f"{path}:{line}"
+        similarity = blob.get("similarity")
+        if "similarity" in blob and type(similarity) not in (int, float):
+            raise ValueError(f"{where}: 'similarity' must be a number, got {similarity!r}")
+        pairs.append(_record(where, SentencePair,
+                             query=string_field(blob, "query", where),
+                             positive=string_field(blob, "positive", where),
+                             source_id=string_field(blob, "source_id", where, ""),
+                             similarity=similarity))
+    return pairs
 
 
 def write_pairs(path: Path, pairs: Iterable[SentencePair]) -> None:
@@ -256,17 +272,23 @@ def write_pairs(path: Path, pairs: Iterable[SentencePair]) -> None:
 
 
 def read_hard_negatives(path: Path) -> list[HardNegativeRecord]:
+    """Each line's record; "flagged", when present, must be true or false."""
     records = []
-    for blob in read_jsonl(path):
+    for line, blob in numbered_jsonl(path):
+        where = f"{path}:{line}"
         negatives = blob.get("negatives")
         if not isinstance(negatives, list) or not all(isinstance(n, str) for n in negatives):
-            raise ValueError(f"{path}: 'negatives' must be a list of strings, "
+            raise ValueError(f"{where}: 'negatives' must be a list of strings, "
                              f"got {negatives!r}")
-        records.append(HardNegativeRecord(query=string_field(blob, "query", path),
-                                          positive=string_field(blob, "positive", path),
-                                          negatives=tuple(negatives),
-                                          source_id=string_field(blob, "source_id", path, ""),
-                                          flagged=blob.get("flagged", False)))
+        flagged = blob.get("flagged", False)
+        if type(flagged) is not bool:
+            raise ValueError(f"{where}: 'flagged' must be true or false, got {flagged!r}")
+        records.append(_record(where, HardNegativeRecord,
+                               query=string_field(blob, "query", where),
+                               positive=string_field(blob, "positive", where),
+                               negatives=tuple(negatives),
+                               source_id=string_field(blob, "source_id", where, ""),
+                               flagged=flagged))
     return records
 
 

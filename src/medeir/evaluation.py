@@ -48,14 +48,25 @@ class RetrievalDataset:
     qrels: dict[str, dict[str, int]]
 
     def __post_init__(self):
+        """The rules a parse of the dataset files enforces: a cached copy
+        that breaks one is rejected like a file that does."""
         if not self.queries:
             raise ValueError(f"dataset {self.name!r} has no queries")
+        for table in (self.queries, self.corpus):
+            for key, text in table.items():
+                if type(text) is not str:
+                    raise ValueError(f"text of {key!r} must be a string, got {text!r}")
         for qid, rels in self.qrels.items():
             if qid not in self.queries:
                 raise ValueError(f"qrels references unknown query {qid!r}")
+            if type(rels) is not dict:
+                raise ValueError(f"qrels of {qid!r} must be an object, got {rels!r}")
             for did, rel in rels.items():
                 if did not in self.corpus:
                     raise ValueError(f"qrels references unknown doc {did!r}")
+                if type(rel) is not int:  # a bool is not a grade
+                    raise ValueError(f"relevance grade for {did!r} must be an "
+                                     f"integer, got {rel!r}")
                 if rel < 0:
                     raise ValueError(f"negative relevance grade for {did!r}")
 
@@ -262,12 +273,6 @@ class EvalReport:
         return {"version": REPORT_VERSION, "rows": self.rows,
                 "metadata": self.metadata}
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "EvalReport":
-        if blob.get("version") != REPORT_VERSION:
-            raise ValueError("unsupported report version")
-        return cls(rows=list(blob["rows"]), metadata=dict(blob.get("metadata", {})))
-
 
 def compare_models(models: Sequence[ModelUnderTest],
                    datasets: Sequence[RetrievalDataset], k: int = 10,
@@ -303,7 +308,8 @@ def compare_models(models: Sequence[ModelUnderTest],
 
 def render_table(report: EvalReport) -> str:
     """Aligned plain-text table, one line per (dataset, metric), one column
-    per model; the best value on each line is starred."""
+    per model; the best value on each line is starred. Every model has a
+    value on every line, as compare_models gives."""
     models: list[str] = []
     cells: dict[tuple[str, str], dict[str, float]] = {}
     line_keys: list[tuple[str, str]] = []
@@ -321,9 +327,6 @@ def render_table(report: EvalReport) -> str:
         best = max(values.values())
         rendered = []
         for name in models:
-            if name not in values:
-                rendered.append("-")
-                continue
             text = f"{values[name]:.2f}"
             rendered.append("*" + text if values[name] == best else text)
         lines.append([dataset, metric] + rendered)
@@ -344,11 +347,6 @@ def save_report(path: Path, report: EvalReport) -> None:
                                              sort_keys=True) + "\n")
 
 
-def load_report(path: Path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return EvalReport.from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # dataset files
 
@@ -363,19 +361,23 @@ def load_dataset(directory: Path, cache_dir: Path | None = None) -> RetrievalDat
     there as dataset-<key>.json, the key being the sha256 of the three files'
     sha256 digests. A later load of the same bytes decodes that entry in one
     json.loads instead of reading the files line by line, and writes nothing;
-    an entry that does not decode to the three tables is a miss and is
-    rewritten.
+    an entry that does not decode to three tables that RetrievalDataset
+    accepts is a miss and is rewritten.
     """
     directory = Path(directory)
     paths = [directory / f"{part}.jsonl" for part in _DATASET_FILES]
-    tables = digests = None
+    digests = None
     if cache_dir is not None:
         tables = _read_dataset_entry(
             _dataset_entry(cache_dir, [file_hash(path) for path in paths]))
-        if tables is None:
-            digests = [hashlib.sha256() for _ in paths]
-    if tables is None:
-        tables = _parse_dataset(paths, digests or [None] * len(paths))
+        if tables is not None:
+            name = _dataset_name(directory)
+            try:
+                return RetrievalDataset(name, *tables)
+            except ValueError:
+                pass  # not what a parse gives: a miss
+        digests = [hashlib.sha256() for _ in paths]
+    tables = _parse_dataset(paths, digests or [None] * len(paths))
     dataset = RetrievalDataset(_dataset_name(directory), *tables)
     if digests is not None:
         # keyed by the bytes parsed, which may differ from the bytes hashed above
@@ -428,7 +430,8 @@ def _dataset_entry(cache_dir: Path, file_digests: Sequence[str]) -> Path:
 
 def _read_dataset_entry(path: Path) -> tuple[dict, dict, dict] | None:
     """The three tables of a cache entry, or None when it is missing, does
-    not decode, or its top level is not the three objects."""
+    not decode, or its top level is not the three objects; what they hold
+    is checked by RetrievalDataset."""
     try:
         blob = json.loads(path.read_bytes())
     except (OSError, ValueError):

@@ -51,7 +51,6 @@ MODEL_FORMAT_VERSION = 2
 
 # Each adaptive-softmax tail projects to hidden / _TAIL_REDUCTION ** (i + 1).
 _TAIL_REDUCTION = 4
-_LAYER_NORM_EPS = 1e-12
 
 
 def _default_cutoffs(vocab_size: int) -> tuple[int, ...]:
@@ -104,25 +103,13 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 # ALiBi
 
-@dataclass(frozen=True)
-class AlibiBias:
-    slopes: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.slopes:
-            raise ValueError("AlibiBias needs at least one slope")
-        if any(s <= 0 for s in self.slopes):
-            raise ValueError("slopes must be positive")
-        if any(a <= b for a, b in zip(self.slopes, self.slopes[1:])):
-            raise ValueError("slopes must be strictly decreasing")
-
-
 def _power_of_two_slopes(n: int) -> list[float]:
     return [2.0 ** (-8.0 * i / n) for i in range(1, n + 1)]
 
 
-def alibi_slopes(n_heads: int) -> AlibiBias:
-    """Geometric head slopes; non-powers-of-two interleave two ladders."""
+def alibi_slopes(n_heads: int) -> tuple[float, ...]:
+    """Geometric head slopes, positive and strictly decreasing;
+    non-powers-of-two interleave two ladders, which share no exponent."""
     if n_heads < 1:
         raise ValueError("n_heads must be >= 1")
     if math.log2(n_heads).is_integer():
@@ -132,7 +119,7 @@ def alibi_slopes(n_heads: int) -> AlibiBias:
         slopes = _power_of_two_slopes(closest)
         slopes += _power_of_two_slopes(2 * closest)[0::2][: n_heads - closest]
         slopes.sort(reverse=True)
-    return AlibiBias(tuple(slopes))
+    return tuple(slopes)
 
 
 def _alibi_stack(slopes: tuple[float, ...], seq_len: int, dtype) -> np.ndarray:
@@ -205,7 +192,7 @@ class EncoderModel:
     layers: list[EncoderLayer]
     final_gamma: Tensor
     final_beta: Tensor
-    alibi: AlibiBias
+    alibi: tuple[float, ...]          # one ALiBi slope per head
     mlm_head: AdaptiveSoftmaxHead
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -334,7 +321,7 @@ def build_model(config: ModelConfig, seed: int = 0,
 # forward
 
 def _affine_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    return ad.add(ad.mul(ad.layer_norm(x, _LAYER_NORM_EPS), gamma), beta)
+    return ad.add(ad.mul(ad.layer_norm(x), gamma), beta)
 
 
 def embed_tokens(embedding: MultiProjEmbedding, ids) -> Tensor:
@@ -392,7 +379,7 @@ def encoder_forward(model: EncoderModel, ids,
         ids = np.concatenate([ids, np.full(pad, ids[0])])
         runs += ((pad, 1),)
     dtype = model.embedding.table.dtype
-    biases = [_alibi_stack(model.alibi.slopes, length, dtype) for _, length in runs]
+    biases = [_alibi_stack(model.alibi, length, dtype) for _, length in runs]
 
     h = embed_tokens(model.embedding, ids)
     for layer in model.layers:
@@ -513,14 +500,8 @@ def embed_text(model: EncoderModel, tokenizer: TokenizerModel, text: str) -> np.
 # adaptive softmax MLM head
 
 def adaptive_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor) -> Tensor:
-    """Log-probabilities over the vocabulary in token-id order.
-
-    hidden may be (d,) for one position or (B, d) for a batch; the result
-    is (V,) or (B, V) accordingly.
-    """
-    single = hidden.ndim == 1
-    if single:
-        hidden = ad.reshape(hidden, (1, hidden.shape[0]))
+    """Log-probabilities over the vocabulary in token-id order: hidden
+    (B, d), result (B, V)."""
     cutoff0 = head.head_projection.shape[1] - len(head.tail_down)
 
     head_logits = ad.add(ad.matmul(hidden, head.head_projection), head.head_bias)
@@ -531,10 +512,7 @@ def adaptive_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor) -> Tensor:
         tail_lp = ad.log_softmax(ad.matmul(ad.matmul(hidden, down), out), axis=-1)
         parts.append(ad.add(tail_lp, gate))
     rank_lp = ad.concat(parts, axis=1)                               # (B, V) by rank
-    id_lp = ad.transpose(ad.index_select(ad.transpose(rank_lp), head.rank_of))
-    if single:
-        id_lp = ad.reshape(id_lp, (id_lp.shape[1],))
-    return id_lp
+    return ad.transpose(ad.index_select(ad.transpose(rank_lp), head.rank_of))
 
 
 def target_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor, targets) -> Tensor:
@@ -656,16 +634,17 @@ def load_model(directory: Path) -> tuple[EncoderModel, Vocabulary]:
     config = ModelConfig.from_dict(blob)
 
     arrays = load_arrays(directory)
-    token_order = arrays.pop("mlm.token_order").astype(np.int64)
     shapes = {name: shape for name, shape, _ in _param_specs(config)}
+    shapes["mlm.token_order"] = (config.vocab_size,)
     missing = set(shapes) - set(arrays)
     extra = set(arrays) - set(shapes)
     if missing or extra:
-        raise ValueError(f"checkpoint mismatch: missing={sorted(missing)} "
-                         f"extra={sorted(extra)}")
+        raise ValueError(f"{directory / 'manifest.json'}: checkpoint mismatch: "
+                         f"missing={sorted(missing)} extra={sorted(extra)}")
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ValueError(f"shape mismatch for {name}: "
                              f"{arrays[name].shape} vs {shape}")
+    token_order = arrays.pop("mlm.token_order").astype(np.int64)
     params = {name: arr.astype(np.float32, copy=False) for name, arr in arrays.items()}
     return _assemble(config, params, token_order), vocab

@@ -205,18 +205,6 @@ class TokenizerModel:
         """Token strings for ``text``; convenience over :meth:`encode`."""
         return [self.vocab.token(i) for i in self.encode(text).ids]
 
-    def decode(self, ids: Sequence[int]) -> str:
-        words: list[str] = []
-        for token_id in ids:
-            tok = self.vocab.token(token_id)
-            if self.vocab.is_special_id(token_id):
-                continue
-            if self.vocab.is_continuation(tok) and words:
-                words[-1] += tok.removeprefix(CONTINUATION_PREFIX)
-            else:
-                words.append(tok.removeprefix(CONTINUATION_PREFIX))
-        return " ".join(words)
-
 
 def sequence_from_ids(vocab: Vocabulary, ids: Sequence[int]) -> EncodedSequence:
     """Reconstruct word groups for a raw id sequence (e.g. a packed chunk).

@@ -68,6 +68,7 @@ _SMALL = 1 << 12
 # Above this share of live rows, gathering and scattering them costs more
 # than the dense update of the whole parameter (measured on a 29.6k x 128 table).
 _SPARSE_SHARE = 0.25
+_ADAM_EPS = 1e-8
 
 
 def _check_adam_settings(beta1: float, beta2: float, weight_decay: float) -> None:
@@ -95,7 +96,6 @@ class OptimizerState:
     """
     beta1: float
     beta2: float
-    eps: float = 1e-8
     weight_decay: float = 0.01
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -104,8 +104,6 @@ class OptimizerState:
 
     def __post_init__(self):
         _check_adam_settings(self.beta1, self.beta2, self.weight_decay)
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
 
 
 def _live_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -162,7 +160,7 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
         np.divide(mb, bias1, out=a)
         np.divide(vb, bias2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += _ADAM_EPS
         a /= b
         np.multiply(pb, state.weight_decay, out=b)
         a += b
@@ -432,6 +430,15 @@ class StageConfig:
         if not 0.0 <= self.peak_lr < math.inf:
             raise ValueError(f"peak_lr must be non-negative and finite, "
                              f"got {self.peak_lr!r}")
+        if not 0.0 < self.warmup_fraction < 1.0:
+            raise ValueError(f"warmup_fraction must be in (0, 1), "
+                             f"got {self.warmup_fraction!r}")
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len!r}")
+        if not 0.0 < self.mask_rate <= 1.0:
+            raise ValueError(f"mask_rate must be in (0, 1], got {self.mask_rate!r}")
+        if not self.temperature > 0.0:
+            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
 
     @property
     def micro_batch(self) -> int:

@@ -44,7 +44,7 @@ class TestForward:
             ad.layer_norm(Tensor(np.zeros((2, 0))))
 
     def test_cross_entropy_uniform_two_way(self):
-        loss = ad.cross_entropy(t64([0.0, 0.0]), 0)
+        loss = ad.cross_entropy(t64([[0.0, 0.0]]), [0])
         assert loss.item() == pytest.approx(math.log(2), abs=1e-6)
 
     def test_cross_entropy_batch_mean(self):
@@ -302,12 +302,6 @@ class TestIndexSelectBackward:
                           ad.sum_(ad.mul(ad.index_select(t, [5, 1, 1, 0]), c2)))
 
         assert grad_check(f, x, h=1e-5) < 1e-6
-
-    def test_negative_ids_wrap(self):
-        a = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3), requires_grad=True)
-        backward(ad.add(ad.sum_(ad.index_select(a, [-1, 3, 0])),
-                        ad.sum_(ad.index_select(a, [0, 3, -1]))))
-        assert np.array_equal(a.grad, [[2.0] * 3, [0.0] * 3, [0.0] * 3, [4.0] * 3])
 
 
 def test_pick_grad():

@@ -15,7 +15,6 @@ import medeir.cli as cli
 from medeir.checkpoint import load_arrays, read_jsonl, save_arrays
 from medeir.cli import dispatch
 from medeir.datapipe import read_documents, read_hard_negatives, read_pairs
-from medeir.evaluation import load_report
 from medeir.model import ModelConfig, build_model, load_model, save_model
 from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary, sequence_from_ids
 from medeir.training import StageConfig, run_stage
@@ -163,6 +162,26 @@ class TestDataCommands:
         assert len(records) == 4
         assert all(len(r.negatives) <= 2 for r in records)
         assert all(r.positive not in r.negatives for r in records)
+
+    @pytest.mark.parametrize("row, message", [
+        ({"similarity": "high"}, "'similarity' must be a number, got 'high'"),
+        ({"similarity": True}, "'similarity' must be a number, got True"),
+        ({"similarity": None}, "'similarity' must be a number, got None"),
+        ({"positive": 5}, "'positive' must be a string, got 5"),
+        ({"query": ""}, "pair texts must be non-empty"),
+    ], ids=["string-similarity", "bool-similarity", "null-similarity",
+            "number-positive", "empty-query"])
+    def test_bad_pair_exits_one_naming_its_line(self, ws, tmp_path, capsys, row,
+                                                message):
+        pairs = tmp_path / "pairs.jsonl"
+        bad = {"query": "alpha", "positive": "beta"} | row
+        pairs.write_text((ws / "pairs.jsonl").read_text() + json.dumps(bad) + "\n")
+        out = tmp_path / "kept.jsonl"
+        rc = dispatch(["data", "filter", "--in", str(pairs), "--model", str(ws / "ckpt"),
+                       "--out", str(out), "--drop-fraction", "0.5"])
+        assert rc == 1
+        assert f"{pairs}:5: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def stage_config(tmp_path, stage, **overrides):
@@ -330,6 +349,47 @@ class TestTrainCommands:
         assert f"invalid StageConfig: {field} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_len", 0), ("mask_rate", 0.0), ("mask_rate", 1.5), ("temperature", 0.0),
+        ("temperature", -0.05), ("warmup_fraction", 0.0), ("warmup_fraction", 1.0)])
+    def test_out_of_range_field_exits_one_before_the_model_loads(
+            self, ws, tmp_path, capsys, field, value):
+        chunks = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, 4)
+        out = tmp_path / "x"
+        rc = dispatch(["train", "mlm",
+                       "--config", str(stage_config(tmp_path, "mlm", **{field: value})),
+                       "--data", str(chunks), "--init", str(tmp_path / "no-checkpoint"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and "checkpoint directory" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ({"flagged": "no"}, "'flagged' must be true or false, got 'no'"),
+        ({"flagged": 1}, "'flagged' must be true or false, got 1"),
+        ({"negatives": "gamma"}, "'negatives' must be a list of strings"),
+        ({"query": 7}, "'query' must be a string, got 7"),
+        ({"negatives": ["beta"]}, "positive must not appear among negatives"),
+        ({"negatives": []}, "empty negatives are only allowed on flagged records"),
+    ], ids=["string-flagged", "number-flagged", "string-negatives", "number-query",
+            "positive-among-negatives", "empty-unflagged"])
+    def test_bad_hard_negative_record_exits_one_naming_its_line(
+            self, ws, tmp_path, capsys, row, message):
+        good = {"query": "alpha", "positive": "beta", "negatives": ["gamma"],
+                "source_id": "s"}
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(good) + "\n" + json.dumps(good | row) + "\n")
+        out = tmp_path / "x"
+        rc = dispatch(["train", "hardneg",
+                       "--config", str(stage_config(tmp_path, "hard_negative")),
+                       "--data", str(records), "--init", str(ws / "ckpt"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert f"{records}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_grad_accum_exits_one(self, ws, tmp_path, capsys):
         cfg = stage_config(tmp_path, "mlm", grad_accum=0)
         out = tmp_path / "x"
@@ -478,10 +538,10 @@ class TestEvalCommands:
                        "--dataset", str(ws / "dataset"), "--k", "3",
                        "--out", str(out)])
         assert rc == 0
-        report = load_report(out)
-        assert {r["metric"] for r in report.rows} == {"ndcg@3", "recall@3"}
-        assert report.metadata["k"] == 3
-        assert report.metadata["checkpoint_hashes"]["ckpt"]
+        report = json.loads(out.read_text())
+        assert {r["metric"] for r in report["rows"]} == {"ndcg@3", "recall@3"}
+        assert report["metadata"]["k"] == 3
+        assert report["metadata"]["checkpoint_hashes"]["ckpt"]
         table = capsys.readouterr().out
         assert "dataset" in table and "ckpt" in table
 
@@ -538,9 +598,9 @@ class TestEvalCommands:
                        "--datasets", str(ws / "dataset"), "--k", "2",
                        "--out", str(out)])
         assert rc == 0
-        report = load_report(out)
-        assert len(report.rows) == 4
-        keys = [(r["dataset"], r["model"]) for r in report.rows]
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 4
+        keys = [(r["dataset"], r["model"]) for r in rows]
         assert keys == sorted(keys)
         assert "ckpt2" in capsys.readouterr().out
 
@@ -684,6 +744,44 @@ class TestExitCodes:
             load_arrays(ckpt)
         assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda m: m.pop("tensors"), "'tensors'"),
+        (lambda m: m["tensors"][0].update(dtype="float16"), "'dtype'"),
+        (lambda m: m["tensors"][0].pop("offset"), "'offset'"),
+        (lambda m: m["tensors"][0].update(shape=[4, "16"]), "'shape'"),
+    ], ids=["no-tensors", "float16", "no-offset", "string-dim"])
+    def test_corrupt_manifest_exits_one_naming_it(self, ws, tmp_path, capsys, edit,
+                                                   field):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws / "ckpt", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        edit(manifest)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'manifest.json'}: " in err and field in err
+        assert "internal error" not in err
+
+    def test_checkpoint_without_token_order_exits_one_naming_it(self, ws, tmp_path,
+                                                                capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws / "ckpt", ckpt)
+        arrays = load_arrays(ckpt)
+        del arrays["mlm.token_order"]
+        save_arrays(ckpt, arrays)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'manifest.json'}: " in err and "mlm.token_order" in err
+        assert "internal error" not in err
+
+    def test_internal_key_error_exits_two(self, ws, capsys, monkeypatch):
+        def broken(*args):
+            raise KeyError("not a user error")
+
+        monkeypatch.setattr(cli, "embed_text", broken)
+        assert dispatch(["embed", "--model", str(ws / "ckpt"), "--text", "alpha"]) == 2
+        assert "internal error: KeyError" in capsys.readouterr().err
 
     def test_text_that_is_not_a_string_exits_one(self, tmp_path, capsys):
         src = tmp_path / "raw.jsonl"

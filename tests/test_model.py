@@ -9,7 +9,6 @@ from medeir import autodiff as ad
 from medeir.autodiff import Tensor, grad_check
 from medeir import model as model_module
 from medeir.model import (
-    AlibiBias,
     ModelConfig,
     _alibi_stack,
     adaptive_log_probs,
@@ -79,20 +78,20 @@ class TestModelConfig:
 
 class TestAlibi:
     def test_power_of_two_slopes(self):
-        assert alibi_slopes(8).slopes == tuple(2.0 ** -i for i in range(1, 9))
+        assert alibi_slopes(8) == tuple(2.0 ** -i for i in range(1, 9))
 
     def test_single_head(self):
-        assert alibi_slopes(1).slopes == (2.0 ** -8,)
+        assert alibi_slopes(1) == (2.0 ** -8,)
 
     def test_non_power_of_two_interleaves(self):
-        got = alibi_slopes(6).slopes
+        got = alibi_slopes(6)
         base = [2.0 ** (-8.0 * i / 4) for i in range(1, 5)]
         extra = [2.0 ** (-8.0 * i / 8) for i in range(1, 9)][0::2][:2]
         assert sorted(got, reverse=True) == sorted(base + extra, reverse=True)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
     def test_slopes_positive_strictly_decreasing(self, n):
-        s = alibi_slopes(n).slopes
+        s = alibi_slopes(n)
         assert len(s) == n
         assert all(x > 0 for x in s)
         assert all(a > b for a, b in zip(s, s[1:]))
@@ -100,10 +99,6 @@ class TestAlibi:
     def test_zero_heads_rejected(self):
         with pytest.raises(ValueError):
             alibi_slopes(0)
-
-    def test_increasing_slopes_rejected(self):
-        with pytest.raises(ValueError):
-            AlibiBias((0.25, 0.5))
 
     def test_bias_matrix_values(self):
         m = alibi_bias_matrix(5, 0.25)
@@ -117,7 +112,7 @@ class TestAlibiStack:
     @pytest.mark.parametrize("seq_len", [1, 2, 7, 513])
     @pytest.mark.parametrize("heads", range(1, 9))
     def test_bitwise_equal_to_stacked_matrices(self, heads, seq_len, dtype):
-        slopes = alibi_slopes(heads).slopes
+        slopes = alibi_slopes(heads)
         got = _alibi_stack(slopes, seq_len, dtype)
         expect = np.stack([alibi_bias_matrix(seq_len, s).astype(dtype)
                            for s in slopes])
@@ -455,7 +450,7 @@ class TestAdaptiveSoftmax:
         cutoffs = TOY.adaptive_cutoffs
         rng = np.random.default_rng(2)
         h = rng.standard_normal(TOY.hidden).astype(np.float32)
-        lp = adaptive_log_probs(head, Tensor(h)).data
+        lp = adaptive_log_probs(head, Tensor(h[None, :])).data[0]
 
         c0 = cutoffs[0]
         head_logits = h @ head.head_projection.data + head.head_bias.data
@@ -469,14 +464,6 @@ class TestAdaptiveSoftmax:
                 token_id = head.token_order[rank]
                 expect = head_lp[c0 + tail_idx] + tail_lp[rank - lo]
                 assert lp[token_id] == pytest.approx(expect, abs=1e-5)
-
-    def test_single_vector_matches_batch(self):
-        m = toy_model(seed=6)
-        rng = np.random.default_rng(3)
-        h = rng.standard_normal(TOY.hidden).astype(np.float32)
-        single = adaptive_log_probs(m.mlm_head, Tensor(h)).data
-        batch = adaptive_log_probs(m.mlm_head, Tensor(h[None, :])).data[0]
-        assert np.array_equal(single, batch)
 
 
 # ranks by cluster of TOY's default cutoffs (8, 24, 40): head [0, 8),

@@ -2,12 +2,17 @@
 public method and property of those classes, is used by the program itself,
 not only by tests.
 
-A name counts as used when code under src/, scripts/ or perfbench/ refers
-to it, outside its own definition and outside an __all__ list, as a name,
-an attribute, an imported name or a string constant (perfbench wraps
-functions by attribute name). Members are matched by their bare name, so a
-method counts as used when any attribute of that name is. The few names
-kept on purpose for the tests are listed below, each with its reason.
+The program is the code under src/, scripts/ and perfbench/. A module-level
+name counts as used only through a reference to it in the package: an
+attribute of its module (`ad.sub`, `medeir.cli.dispatch`), an import of it
+(`from .autodiff import sub`), a bare use in its own module outside its own
+definition, or a string constant in perfbench/ (perfbench wraps functions by
+attribute name). So `np.tanh` or a local variable named `sub` does not keep
+`autodiff.tanh` or `autodiff.sub`. Methods are matched by their bare name,
+because a receiver's type is unknown: a method counts as used when any
+attribute, name or string of that name is. __all__ lists do not count. The
+few names kept on purpose for the tests are listed below, each with its
+reason.
 """
 
 import ast
@@ -16,16 +21,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "medeir"
 PROGRAM_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
+STRING_DIRS = (ROOT / "perfbench",)
 
 _PAPER_STAGES = ("records the paper's stage hyperparameters; tests build "
                  "configs from it")
+_CRITERION_03 = "an op that criterion 03 grad-checks"
 KEPT_FOR_TESTS = {
     "autodiff.grad_check": "finite-difference gradient checks (criterion 03)",
     "autodiff.tensor": "float64 inputs with an explicit dtype for criterion 03",
-    "autodiff.div": "the quotient op that criterion 03 grad-checks",
+    "autodiff.div": _CRITERION_03,
+    "autodiff.sub": _CRITERION_03,
+    "autodiff.tanh": _CRITERION_03,
     "model.adaptive_log_probs": "full-distribution reference for target_log_probs "
                                 "(criterion 05)",
-    "evaluation.load_report": "reads saved reports back in the CLI tests",
     "fixtures.fixture_tokenizer": "bundled tokenizers for criteria 01 and 02",
     "fixtures.mini_corpus_texts": "bundled corpus texts for criterion 02",
     "smoke.synthetic_topic_pairs": "retrieval data for criterion 09",
@@ -40,6 +48,7 @@ KEPT_FOR_TESTS = {
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
 def _public_definitions() -> dict[str, str]:
@@ -65,56 +74,117 @@ def _is_all(node: ast.stmt) -> bool:
         for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
 
 
-def _names_in(node: ast.AST) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.add(sub.name.rsplit(".", 1)[-1])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            names.add(sub.value)
-    return names
+def _package_module(dotted: str | None, level: int, in_package: bool) -> str | None:
+    """The package module an import names: 'autodiff' for `.autodiff` inside
+    the package or `medeir.autodiff` anywhere; None for any other module."""
+    if level == 1 and in_package:
+        return dotted
+    if level == 0 and dotted and dotted.startswith("medeir."):
+        return dotted.removeprefix("medeir.")
+    return None
 
 
-def _references(node: ast.AST) -> set[str]:
-    """Names node refers to; the references of a top-level definition, or of
-    a method, to its own name do not count."""
+def _module_aliases(tree: ast.AST, in_package: bool) -> dict[str, str]:
+    """Local name -> package module, for each import of a module itself
+    (`from . import autodiff as ad`, `from medeir import cli`)."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parent = node.module if node.level == 0 else None
+            if (node.level == 1 and in_package and node.module is None) \
+                    or parent == "medeir":
+                for alias in node.names:
+                    if alias.name in _MODULES:
+                        aliases[alias.asname or alias.name] = alias.name
+    return aliases
+
+
+def _attribute_module(node: ast.expr, aliases: dict[str, str]) -> str | None:
+    """The package module an expression names: an alias, or medeir.<module>."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "medeir" and node.attr in _MODULES):
+        return node.attr
+    return None
+
+
+def _units(node: ast.stmt):
+    """(part, names) for each part of a top-level statement whose references
+    to names do not count: a definition's to its own name (a recursive
+    call), and a class's to itself or, in a method, to that method."""
     if isinstance(node, ast.ClassDef):
-        names = set()
         for part in (*node.bases, *node.keywords, *node.decorator_list, *node.body):
-            names |= _references(part)
+            yield part, {node.name} | ({part.name} if isinstance(part, _DEFS) else set())
     else:
-        names = _names_in(node)
-    if isinstance(node, _DEFS):
-        names.discard(node.name)
-    return names
+        yield node, {node.name} if isinstance(node, _DEFS) else set()
 
 
-def _program_references() -> set[str]:
-    """Names referred to anywhere in the program's code."""
-    refs = set()
+def _program_references() -> tuple[set[str], set[str]]:
+    """('module.name' for every module-level name the program refers to
+    through the package, every bare name, attribute and string it uses)."""
+    qualified, bare = set(), set()
     for directory in PROGRAM_DIRS:
         for path in sorted(directory.rglob("*.py")):
-            for node in ast.parse(path.read_text(encoding="utf-8")).body:
-                if not _is_all(node):
-                    refs |= _references(node)
-    return refs
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            own = path.stem if path.parent == PACKAGE else None
+            aliases = _module_aliases(tree, own is not None)
+            for node in tree.body:
+                if _is_all(node):
+                    continue
+                for part, skipped in _units(node):
+                    q, b = _references(part, own, aliases, directory in STRING_DIRS)
+                    qualified |= q - {f"{m}.{n}" for m in _MODULES for n in skipped}
+                    bare |= b - skipped
+    return qualified, bare
+
+
+def _references(node: ast.AST, own: str | None, aliases: dict[str, str],
+                strings: bool) -> tuple[set[str], set[str]]:
+    """The (qualified, bare) references of one part of a file of module
+    own (None outside the package)."""
+    qualified, bare = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            bare.add(sub.id)
+            if own:
+                qualified.add(f"{own}.{sub.id}")
+        elif isinstance(sub, ast.Attribute):
+            bare.add(sub.attr)
+            module = _attribute_module(sub.value, aliases)
+            if module:
+                qualified.add(f"{module}.{sub.attr}")
+        elif isinstance(sub, ast.ImportFrom):
+            module = _package_module(sub.module, sub.level, own is not None)
+            for alias in sub.names:
+                bare.add(alias.name)
+                if module:
+                    qualified.add(f"{module}.{alias.name}")
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            bare.add(sub.value)
+            if strings:
+                qualified |= {f"{m}.{sub.value}" for m in _MODULES}
+    return qualified, bare
+
+
+def _used(key: str, name: str, qualified: set[str], bare: set[str]) -> bool:
+    """A module-level name by a package reference, a method by its bare name."""
+    return key in qualified if key.count(".") == 1 else name in bare
 
 
 def test_every_public_definition_is_reachable():
-    refs = _program_references()
+    qualified, bare = _program_references()
     unused = sorted(key for key, name in _public_definitions().items()
-                    if name not in refs and key not in KEPT_FOR_TESTS)
+                    if not _used(key, name, qualified, bare)
+                    and key not in KEPT_FOR_TESTS)
     assert not unused, ("public names that only tests (or nothing) use; delete "
                         f"them or list them in KEPT_FOR_TESTS: {unused}")
 
 
 def test_kept_names_are_defined_and_unreachable():
     definitions = _public_definitions()
-    refs = _program_references()
+    qualified, bare = _program_references()
     stale = sorted(key for key in KEPT_FOR_TESTS
-                   if key not in definitions or definitions[key] in refs)
+                   if key not in definitions
+                   or _used(key, definitions[key], qualified, bare))
     assert not stale, f"undefined or reachable; drop them from KEPT_FOR_TESTS: {stale}"

@@ -163,7 +163,7 @@ def dense_adamw_step(params, state, lr_now):
         v += (1.0 - b2) * g * g
         m_hat = m / bias1
         v_hat = v / bias2
-        p.data -= lr_now * (m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= lr_now * (m_hat / (np.sqrt(v_hat) + 1e-8)
                             + state.weight_decay * p.data)
 
 
@@ -318,7 +318,6 @@ class TestOptimizerSettings:
     @pytest.mark.parametrize("field,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
         ("beta2", 1.0), ("beta2", 1.5), ("beta2", math.nan),
-        ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf),
         ("weight_decay", -0.01), ("weight_decay", math.inf),
         ("weight_decay", math.nan)])
     def test_optimizer_state_rejects(self, field, value):
@@ -329,15 +328,20 @@ class TestOptimizerSettings:
     @pytest.mark.parametrize("field,value", [
         ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.0), ("beta2", math.nan),
         ("weight_decay", -1e-3), ("weight_decay", math.inf),
-        ("peak_lr", -1e-4), ("peak_lr", math.inf), ("peak_lr", math.nan)])
+        ("peak_lr", -1e-4), ("peak_lr", math.inf), ("peak_lr", math.nan),
+        ("max_len", 0), ("max_len", -1), ("mask_rate", 0.0), ("mask_rate", 1.5),
+        ("mask_rate", math.nan), ("temperature", 0.0), ("temperature", -0.05),
+        ("temperature", math.nan), ("warmup_fraction", 0.0),
+        ("warmup_fraction", 1.0), ("warmup_fraction", math.nan)])
     def test_stage_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
             StageConfig.mlm_defaults(total_steps=2, **{field: value})
 
     def test_edges_accepted(self):
-        OptimizerState(beta1=0.0, beta2=0.0, eps=1e-30, weight_decay=0.0)
+        OptimizerState(beta1=0.0, beta2=0.0, weight_decay=0.0)
         StageConfig.mlm_defaults(total_steps=2, beta1=0.0, beta2=0.0,
-                                 weight_decay=0.0, peak_lr=0.0)
+                                 weight_decay=0.0, peak_lr=0.0, max_len=1,
+                                 mask_rate=1.0)
 
 
 def letters_vocab():
