@@ -8,8 +8,7 @@ topological order of the graph) and walks it once in reverse.
 Design notes:
   - float32 is the working precision: tensor() stores float input, and
     Tensor() integer input, as float32. float64 comes only from an explicit
-    dtype (a float64 array, or tensor(..., dtype=np.float64)), which
-    grad_check requires.
+    dtype (a float64 array, or tensor(..., dtype=np.float64)).
   - a Python scalar operand of add/sub/mul/div is weak, as in numpy's own
     NEP 50 rule: it takes the dtype of the tensor it meets. A float32 model
     therefore stays float32 end to end, and float64 tensors stay float64.
@@ -41,7 +40,7 @@ __all__ = [
     "transpose", "reshape", "concat", "stack", "narrow", "index_select", "pick",
     "softmax", "log_softmax", "layer_norm", "gelu", "tanh", "mean", "sum_",
     "masked_fill", "attention", "run_mean", "cross_entropy", "l2_normalize",
-    "backward", "grad_check",
+    "backward",
 ]
 
 _DEFAULT_DTYPE = np.float32
@@ -693,7 +692,7 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward and gradient checking
+# backward
 
 def backward(loss: Tensor) -> None:
     """Populate grads of every requires_grad tensor below a scalar loss.
@@ -715,44 +714,3 @@ def backward(loss: Tensor) -> None:
             node._backward_fn(node)
             node.grad = None
 
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
-               sample: int | None = None,
-               rng: np.random.Generator | None = None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Perturbs x.data in place. With sample set, only that many coordinates
-    (chosen by rng) are probed, which keeps whole-model checks tractable.
-    """
-    if x.data.dtype != np.float64:
-        raise ValueError("grad_check requires float64 tensors")
-    x.grad = None
-    out = f(x)
-    if out.data.size != 1:
-        raise ValueError("grad_check needs a scalar-valued function")
-    backward(out)
-    analytic = (x.grad if x.grad is not None else np.zeros_like(x.data)).ravel()
-
-    n = x.data.size
-    if sample is None or sample >= n:
-        coords = np.arange(n)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        coords = rng.choice(n, size=sample, replace=False)
-
-    flat = x.data.reshape(-1)
-    max_err = 0.0
-    with no_grad():
-        for i in coords:
-            saved = flat[i]
-            flat[i] = saved + h
-            f_plus = f(x).data.item()
-            flat[i] = saved - h
-            f_minus = f(x).data.item()
-            flat[i] = saved
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = float(analytic[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            max_err = max(max_err, err)
-    return max_err

@@ -13,10 +13,10 @@ bytes-like chunks and writes each to a uniquely named temp file in the
 target's directory as it comes; the file is fsynced and then renamed over
 the target, or removed again if anything fails (the chunk source included),
 so a crash never leaves a half-written artifact behind. JSON-lines files are
-written by write_jsonl, one line at a time, and read by read_jsonl, or by
-numbered_jsonl where an error names the line; string_field reads one text
-field of a row, and id_error is the one message for an id that is not a
-JSON string.
+written by write_jsonl, one line at a time, and read by numbered_jsonl,
+whose errors name the line; string_field reads one text field of a row,
+id_error is the one message for an id that is not a JSON string, and
+_id_text_rows holds the one rule for a file of {"id", "text"} rows.
 config_from_dict turns a JSON object read from a file into a config
 dataclass, checking each value's JSON type.
 """
@@ -163,12 +163,6 @@ def numbered_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
             yield line_no, row
 
 
-def read_jsonl(path: Path) -> Iterator[dict]:
-    """The JSON object on each non-blank line of a UTF-8 file
-    (numbered_jsonl without the line numbers)."""
-    return (row for _, row in numbered_jsonl(path))
-
-
 def id_error(path: Path, line: int, key: str, value) -> ValueError:
     """An id is a JSON string: a number is not taken for one."""
     return ValueError(f"{path}:{line}: {key!r} must be a string, got {value!r}")
@@ -186,6 +180,25 @@ def string_field(row: dict, key: str, path: Path | str,
     if not isinstance(value, str):
         raise ValueError(f"{path}: {key!r} must be a string, got {value!r}")
     return value
+
+
+def _id_text_rows(path: Path, digest=None) -> Iterator[tuple[int, str, str, dict]]:
+    """(line number, id, text, row) for each row of a JSONL file of
+    {"id", "text"} rows, read by numbered_jsonl. The id must be a JSON
+    string that no earlier row holds, and the text a string; each error
+    names path:line."""
+    seen = set()
+    for line, row in numbered_jsonl(path, digest):
+        key = row.get("id")
+        if type(key) is not str:
+            raise id_error(path, line, "id", key)
+        if key in seen:
+            raise ValueError(f"{path}:{line}: duplicate id {key!r}")
+        seen.add(key)
+        text = row.get("text")
+        if type(text) is not str:  # path:line is formatted only for a bad row
+            text = string_field(row, "text", f"{path}:{line}")
+        yield line, key, text, row
 
 
 def config_from_dict(cls: type, blob: dict):

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .checkpoint import id_error, numbered_jsonl, string_field, write_jsonl
+from .checkpoint import _id_text_rows, numbered_jsonl, string_field, write_jsonl
 from .evaluation import _top_k
 from .tokenizer import SEP_TOKEN, TokenizerModel
 
@@ -219,17 +219,11 @@ def mine_hard_negatives(pairs: Sequence[SentencePair],
 
 def read_documents(path: Path) -> list[CorpusDocument]:
     docs = []
-    ids = set()
-    for line, blob in numbered_jsonl(path):
-        doc_id = blob.get("id")
-        if type(doc_id) is not str:
-            raise id_error(path, line, "id", doc_id)
-        doc = CorpusDocument(id=doc_id, text=string_field(blob, "text", path),
-                             source=string_field(blob, "source", path, ""))
-        if doc.id in ids:
-            raise ValueError(f"duplicate document id {doc.id!r} in {path}")
-        ids.add(doc.id)
-        docs.append(doc)
+    for line, doc_id, text, blob in _id_text_rows(path):
+        source = blob.get("source", "")
+        if type(source) is not str:  # path:line is formatted only for a bad row
+            source = string_field(blob, "source", f"{path}:{line}")
+        docs.append(CorpusDocument(id=doc_id, text=text, source=source))
     return docs
 
 

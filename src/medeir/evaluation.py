@@ -31,8 +31,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import (atomic_write_bytes, atomic_write_text, file_hash, id_error,
-                         numbered_jsonl, string_field, write_jsonl)
+from .checkpoint import (_id_text_rows, atomic_write_bytes, atomic_write_text, file_hash,
+                         id_error, numbered_jsonl, write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
 from .tokenizer import CONTINUATION_PREFIX, TokenizerModel
@@ -466,15 +466,7 @@ def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
 
 
 def _read_id_text(path: Path, digest) -> dict[str, str]:
-    table: dict[str, str] = {}
-    for line, blob in numbered_jsonl(path, digest):
-        key = blob.get("id")
-        if type(key) is not str:
-            raise id_error(path, line, "id", key)
-        if key in table:
-            raise ValueError(f"{path}:{line}: duplicate id {key!r}")
-        table[key] = string_field(blob, "text", path)
-    return table
+    return {key: text for _, key, text, _ in _id_text_rows(path, digest)}
 
 
 def _write_id_text(path: Path, table: Mapping[str, str]) -> None:

@@ -9,10 +9,10 @@ Pieces that differ from a stock pre-norm transformer:
     projection. Its clusters are contiguous ranges of token ranks, and
     token_order maps rank to token id. build_model ranks tokens by
     descending count when given token_counts; no CLI or smoke path passes
-    them, so every pipeline model ranks tokens in id order.
-    adaptive_log_probs gives the full distribution over the vocabulary;
-    training (mlm_loss through target_log_probs) computes only the head and
-    the tail clusters that the masked targets hit.
+    them, so every pipeline model ranks tokens in id order. Training
+    (mlm_loss through target_log_probs) computes only the head and the tail
+    clusters that the masked targets hit, never the full distribution over
+    the vocabulary.
 
 Forward functions take packed ids (T,): the tokens of several sequences
 laid end to end, with runs that give the count and length of each block of
@@ -499,28 +499,13 @@ def embed_text(model: EncoderModel, tokenizer: TokenizerModel, text: str) -> np.
 # ---------------------------------------------------------------------------
 # adaptive softmax MLM head
 
-def adaptive_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor) -> Tensor:
-    """Log-probabilities over the vocabulary in token-id order: hidden
-    (B, d), result (B, V)."""
-    cutoff0 = head.head_projection.shape[1] - len(head.tail_down)
-
-    head_logits = ad.add(ad.matmul(hidden, head.head_projection), head.head_bias)
-    head_lp = ad.log_softmax(head_logits, axis=-1)
-    parts = [ad.narrow(head_lp, 1, 0, cutoff0)]
-    for i, (down, out) in enumerate(zip(head.tail_down, head.tail_out)):
-        gate = ad.narrow(head_lp, 1, cutoff0 + i, cutoff0 + i + 1)   # (B, 1)
-        tail_lp = ad.log_softmax(ad.matmul(ad.matmul(hidden, down), out), axis=-1)
-        parts.append(ad.add(tail_lp, gate))
-    rank_lp = ad.concat(parts, axis=1)                               # (B, V) by rank
-    return ad.transpose(ad.index_select(ad.transpose(rank_lp), head.rank_of))
-
-
 def target_log_probs(head: AdaptiveSoftmaxHead, hidden: Tensor, targets) -> Tensor:
     """Log-probability of each row's target token: hidden (B, d), targets
     (B,) token ids, result (B,).
 
-    Equals pick(adaptive_log_probs(head, hidden), targets), but computes
-    only what the targets need (Grave et al. 2017, arXiv:1609.04309, sec. 4):
+    Equals the targets picked from the full distribution over the
+    vocabulary (adaptive_log_probs in tests/support.py), but computes only
+    what the targets need (Grave et al. 2017, arXiv:1609.04309, sec. 4):
     the head log-softmax, and each tail cluster only on the rows whose
     target falls in it. A tail that no target hits runs on zero rows: it
     costs no arithmetic, and its parameters get an exact zero gradient, as
@@ -646,5 +631,8 @@ def load_model(directory: Path) -> tuple[EncoderModel, Vocabulary]:
             raise ValueError(f"shape mismatch for {name}: "
                              f"{arrays[name].shape} vs {shape}")
     token_order = arrays.pop("mlm.token_order").astype(np.int64)
+    if not np.array_equal(np.sort(token_order), np.arange(config.vocab_size)):
+        raise ValueError(f"{directory / 'manifest.json'}: mlm.token_order is not "
+                         f"a permutation of the {config.vocab_size} token ids")
     params = {name: arr.astype(np.float32, copy=False) for name, arr in arrays.items()}
     return _assemble(config, params, token_order), vocab

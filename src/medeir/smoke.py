@@ -1,153 +1,21 @@
-"""Synthetic data generators and a small end-to-end pipeline run.
+"""A small end-to-end pipeline run.
 
-Two generators live here: topic-structured retrieval pairs whose
-query/document word pools are disjoint (so an untrained encoder has no
-lexical shortcut), and a looping bigram stream for length-extrapolation
-checks. run_smoke_pipeline drives the real CLI from raw corpus to an
-evaluation report in a few seconds.
+run_smoke_pipeline drives the real CLI from raw corpus to an evaluation
+report in a few seconds.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import autodiff as ad
 from .checkpoint import atomic_write_text
 from .datapipe import CorpusDocument, SentencePair, write_documents, write_pairs
 from .evaluation import RetrievalDataset, save_dataset
 from .fixtures import load_mini_corpus
-from .model import EncoderModel, ModelConfig, build_model, mlm_loss, save_model
-from .tokenizer import (
-    MASK_TOKEN,
-    SPECIAL_TOKENS,
-    EncodedSequence,
-    Vocabulary,
-    sequence_from_ids,
-)
+from .model import ModelConfig, build_model, save_model
+from .tokenizer import Vocabulary
 
-
-# ---------------------------------------------------------------------------
-# topic-pair generator
-
-@dataclass(frozen=True)
-class TopicPairData:
-    vocab: Vocabulary
-    train: tuple[SentencePair, ...]
-    dataset: RetrievalDataset
-
-
-def synthetic_topic_pairs(n_topics: int = 16, train_per_topic: int = 4,
-                          eval_per_topic: int = 1, pool_size: int = 5,
-                          words_per_text: int = 6, seed: int = 0) -> TopicPairData:
-    """Topic-aligned pairs where queries and documents share no words.
-
-    Every topic owns two disjoint word pools; queries sample from one,
-    documents from the other. The query-document association is therefore
-    invisible to an untrained encoder and must be learned contrastively.
-    Held-out texts are fresh samples from the same pools.
-    """
-    rng = np.random.default_rng(seed)
-    query_pools = [[f"qu{t}{chr(97 + j)}" for j in range(pool_size)]
-                   for t in range(n_topics)]
-    doc_pools = [[f"do{t}{chr(97 + j)}" for j in range(pool_size)]
-                 for t in range(n_topics)]
-
-    def sample(pool: list[str]) -> str:
-        picks = rng.integers(0, len(pool), size=words_per_text)
-        return " ".join(pool[i] for i in picks)
-
-    train = []
-    for t in range(n_topics):
-        for _ in range(train_per_topic):
-            train.append(SentencePair(query=sample(query_pools[t]),
-                                      positive=sample(doc_pools[t]),
-                                      source_id="synthetic"))
-    queries: dict[str, str] = {}
-    corpus: dict[str, str] = {}
-    qrels: dict[str, dict[str, int]] = {}
-    for t in range(n_topics):
-        for k in range(eval_per_topic):
-            qid, did = f"q{t:02d}_{k}", f"d{t:02d}_{k}"
-            queries[qid] = sample(query_pools[t])
-            corpus[did] = sample(doc_pools[t])
-            qrels[qid] = {did: 1}
-    words = [w for pool in query_pools + doc_pools for w in pool]
-    vocab = Vocabulary(list(SPECIAL_TOKENS) + words)
-    dataset = RetrievalDataset(name="synthetic-topics", queries=queries,
-                               corpus=corpus, qrels=qrels)
-    return TopicPairData(vocab=vocab, train=tuple(train), dataset=dataset)
-
-
-# ---------------------------------------------------------------------------
-# bigram stream generator
-
-def bigram_vocabulary(n_words: int = 12) -> Vocabulary:
-    words = [f"tok{i:02d}" for i in range(n_words)]
-    return Vocabulary(list(SPECIAL_TOKENS) + words)
-
-
-def bigram_stream(vocab: Vocabulary, length: int, seed: int,
-                  loop_prob: float = 0.85) -> list[int]:
-    """Token ids from a looping Markov chain over the non-special words.
-
-    State i usually steps to i+1 (mod n); otherwise it jumps uniformly.
-    The resulting local structure is learnable by a short-context model at
-    any sequence length.
-    """
-    n_special = len(SPECIAL_TOKENS)
-    n_words = len(vocab) - n_special
-    rng = np.random.default_rng(seed)
-    state = int(rng.integers(0, n_words))
-    ids = []
-    for _ in range(length):
-        ids.append(n_special + state)
-        if rng.random() < loop_prob:
-            state = (state + 1) % n_words
-        else:
-            state = int(rng.integers(0, n_words))
-    return ids
-
-
-def bigram_sequences(vocab: Vocabulary, count: int, length: int,
-                     seed: int) -> list[EncodedSequence]:
-    return [sequence_from_ids(vocab, bigram_stream(vocab, length, seed + i))
-            for i in range(count)]
-
-
-def windowed_masked_ce(model: EncoderModel, vocab: Vocabulary,
-                       stream: list[int], window: int,
-                       mask_every: int = 7) -> float:
-    """Mean masked-token cross-entropy over consecutive windows of a stream.
-
-    Masked positions are deterministic (every mask_every-th slot), so the
-    same stream scored at two window sizes masks the same tokens.
-    """
-    mask_id = vocab.id_of[MASK_TOKEN]
-    total = 0.0
-    count = 0
-    for start in range(0, len(stream) - window + 1, window):
-        ids = stream[start:start + window]
-        positions = [i for i in range(window) if (start + i) % mask_every == 3]
-        if not positions:
-            continue
-        corrupted = list(ids)
-        for pos in positions:
-            corrupted[pos] = mask_id
-        with ad.no_grad():
-            loss = mlm_loss(model, [corrupted], [positions], [ids])
-        total += loss.item() * len(positions)
-        count += len(positions)
-    if count == 0:
-        raise ValueError("stream too short for any masked window")
-    return total / count
-
-
-# ---------------------------------------------------------------------------
-# end-to-end pipeline
 
 def _require(rc: int, step: str) -> None:
     if rc != 0:

@@ -41,7 +41,8 @@ class ScheduleConfig:
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in (0, 1)")
+            raise ValueError(f"warmup_fraction must be in (0, 1), "
+                             f"got {self.warmup_fraction!r}")
 
     @property
     def warmup_steps(self) -> int:
@@ -424,15 +425,11 @@ class StageConfig:
             raise ValueError("global_batch and grad_accum must be >= 1")
         if self.global_batch % self.grad_accum != 0:
             raise ValueError("global_batch must be divisible by grad_accum")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
+        self.schedule  # checks total_steps and warmup_fraction
         _check_adam_settings(self.beta1, self.beta2, self.weight_decay)
         if not 0.0 <= self.peak_lr < math.inf:
             raise ValueError(f"peak_lr must be non-negative and finite, "
                              f"got {self.peak_lr!r}")
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError(f"warmup_fraction must be in (0, 1), "
-                             f"got {self.warmup_fraction!r}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len!r}")
         if not 0.0 < self.mask_rate <= 1.0:
@@ -447,30 +444,6 @@ class StageConfig:
     @property
     def schedule(self) -> ScheduleConfig:
         return ScheduleConfig(self.total_steps, self.warmup_fraction)
-
-    @classmethod
-    def mlm_defaults(cls, total_steps: int, **overrides) -> "StageConfig":
-        base = dict(stage="mlm", total_steps=total_steps, peak_lr=2e-4,
-                    beta1=0.9, beta2=0.98, global_batch=16, grad_accum=2,
-                    warmup_fraction=0.10)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def contrastive_defaults(cls, total_steps: int, **overrides) -> "StageConfig":
-        base = dict(stage="contrastive", total_steps=total_steps, peak_lr=5e-5,
-                    beta1=0.95, beta2=0.98, global_batch=1024, grad_accum=1,
-                    warmup_fraction=0.06)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def hard_negative_defaults(cls, total_steps: int, **overrides) -> "StageConfig":
-        base = dict(stage="hard_negative", total_steps=total_steps, peak_lr=5e-5,
-                    beta1=0.95, beta2=0.98, global_batch=1024, grad_accum=2,
-                    warmup_fraction=0.06)
-        base.update(overrides)
-        return cls(**base)
 
     @classmethod
     def from_dict(cls, blob: dict) -> "StageConfig":

@@ -12,15 +12,18 @@ def no_cache_from_the_shell(monkeypatch):
 
 @pytest.fixture
 def dataset_reads(monkeypatch):
-    """The paths that load_dataset reads line by line, one entry per read."""
+    """The paths that load_dataset reads line by line, one entry per read:
+    the qrels file directly, the id/text files through _id_text_rows."""
+    import medeir.checkpoint as checkpoint
     import medeir.evaluation as evaluation
 
     paths = []
-    real = evaluation.numbered_jsonl
+    real = checkpoint.numbered_jsonl
 
     def counting(path, digest=None):
         paths.append(path)
         return real(path, digest)
 
+    monkeypatch.setattr(checkpoint, "numbered_jsonl", counting)
     monkeypatch.setattr(evaluation, "numbered_jsonl", counting)
     return paths

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from medeir import autodiff as ad
-from medeir.autodiff import Tensor, grad_check
+from medeir.autodiff import Tensor
 from medeir.datapipe import (
     CorpusDocument,
     SentencePair,
@@ -22,21 +22,12 @@ from medeir.datapipe import (
     pack_chunks,
 )
 from medeir.evaluation import ModelUnderTest, ndcg_at_k, recall_at_k, retrieval_run
-from medeir.fixtures import fixture_tokenizer, mini_corpus_texts
 from medeir.model import (
     ModelConfig,
-    adaptive_log_probs,
     build_model,
     mlm_loss,
 )
-from medeir.smoke import (
-    bigram_sequences,
-    bigram_stream,
-    bigram_vocabulary,
-    run_smoke_pipeline,
-    synthetic_topic_pairs,
-    windowed_masked_ce,
-)
+from medeir.smoke import run_smoke_pipeline
 from medeir.tokenizer import (
     MASK_TOKEN,
     SPECIAL_TOKENS,
@@ -58,6 +49,17 @@ from medeir.training import (
     select_whole_word_mask,
 )
 
+from support import (
+    adaptive_log_probs,
+    bigram_sequences,
+    bigram_stream,
+    bigram_vocabulary,
+    fixture_tokenizer,
+    grad_check,
+    mini_corpus_texts,
+    synthetic_topic_pairs,
+    windowed_masked_ce,
+)
 from test_tokenizer_golden import GOLDEN_ROWS, alnum_tokens
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from medeir import autodiff as ad
-from medeir.autodiff import Tensor, backward, grad_check, no_grad
+from medeir.autodiff import Tensor, backward, no_grad
+
+from support import grad_check
 
 
 def t64(data, requires_grad=True):

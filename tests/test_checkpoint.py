@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medeir import checkpoint
-from medeir.checkpoint import atomic_write_bytes, read_jsonl, write_jsonl
+from medeir.checkpoint import atomic_write_bytes, numbered_jsonl, write_jsonl
 from medeir.cli import dispatch
 from medeir.datapipe import (
     CorpusDocument,
@@ -122,7 +122,7 @@ class TestReadJsonl:
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
-        assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]
+        assert list(numbered_jsonl(path)) == [(1, {"a": 1}), (4, {"a": 2})]
 
     @pytest.mark.parametrize("tail", [b"", b"\n\n", b'{"a": 7}'], ids=["newline", "blank",
                                                                      "no-newline"])
@@ -132,7 +132,7 @@ class TestReadJsonl:
         path.write_bytes("".join(json.dumps(r) + "\n" for r in rows).encode() + tail)
         assert path.stat().st_size > 2 * checkpoint._HASH_BLOCK
         digest = hashlib.sha256()
-        got = [row for _, row in checkpoint.numbered_jsonl(path, digest)]
+        got = [row for _, row in numbered_jsonl(path, digest)]
         assert got == rows + ([{"a": 7}] if tail.strip() else [])
         assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -141,11 +141,12 @@ class TestReadJsonl:
         path = tmp_path / "rows.jsonl"
         path.write_bytes(b'{"a": 1}\n\n' + bad + b"\n")
         with pytest.raises(ValueError, match="rows.jsonl:3"):
-            list(read_jsonl(path))
+            list(numbered_jsonl(path))
 
 
 def loads_per_line(path):
-    """The reader before raw_decode: one json.loads per stripped line."""
+    """The reader before raw_decode: one json.loads per stripped line,
+    yielding (line number, row)."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -158,7 +159,7 @@ def loads_per_line(path):
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{line_no}: expected a JSON object, "
                                  f"got {type(row).__name__}")
-            yield row
+            yield line_no, row
 
 
 def outcome(reader, path):
@@ -201,7 +202,7 @@ class TestReadJsonlMatchesLoadsPerLine:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rows.jsonl"
             path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
-            assert outcome(read_jsonl, path) == outcome(loads_per_line, path)
+            assert outcome(numbered_jsonl, path) == outcome(loads_per_line, path)
 
 
 class TestGoldenBytes:

@@ -12,7 +12,7 @@ import pytest
 
 import medeir.checkpoint as checkpoint
 import medeir.cli as cli
-from medeir.checkpoint import load_arrays, read_jsonl, save_arrays
+from medeir.checkpoint import load_arrays, numbered_jsonl, save_arrays
 from medeir.cli import dispatch
 from medeir.datapipe import read_documents, read_hard_negatives, read_pairs
 from medeir.model import ModelConfig, build_model, load_model, save_model
@@ -433,7 +433,7 @@ class TestStreamedMlm:
         assert train_mlm(ws, tmp_path, chunks, out, **overrides) == 0
 
         model, vocab = load_model(ws / "ckpt")
-        data = [sequence_from_ids(vocab, row["ids"]) for row in read_jsonl(chunks)]
+        data = [sequence_from_ids(vocab, row["ids"]) for _, row in numbered_jsonl(chunks)]
         config = StageConfig.from_dict(
             json.loads(stage_config(tmp_path, "mlm", **overrides).read_text()))
         listed = tmp_path / "listed"
@@ -586,6 +586,25 @@ class TestEvalCommands:
         assert rc == 1
         expected = f"{path}:{len(lines)}: {key!r} must be a string, got {value!r}"
         assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["queries", "corpus"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows + [{"id": "new", "text": 7}], "'text' must be a string, got 7"),
+        (lambda rows: rows + [rows[0]], "duplicate id"),
+    ], ids=["number-text", "duplicate-id"])
+    def test_bad_id_text_row_exits_one_naming_the_line(self, ws, tmp_path, capsys, name,
+                                                       edit, message):
+        ds = tmp_path / "dataset"
+        shutil.copytree(ws / "dataset", ds)
+        path = ds / f"{name}.jsonl"
+        rows = edit([json.loads(line) for line in path.read_text().splitlines()])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "report.json"
+        rc = dispatch(["eval", "run", "--model", str(ws / "ckpt"), "--dataset", str(ds),
+                       "--k", "3", "--out", str(out)])
+        assert rc == 1
+        assert f"{path}:{len(rows)}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_compare_two_models(self, ws, tmp_path, capsys):
@@ -775,6 +794,23 @@ class TestExitCodes:
         assert f"{ckpt / 'manifest.json'}: " in err and "mlm.token_order" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("order", [
+        lambda v: np.zeros(v, dtype=np.int64),
+        lambda v: np.r_[0, np.arange(v - 1)],
+        lambda v: np.arange(1, v + 1),
+    ], ids=["all-zero", "repeated-id", "out-of-range"])
+    def test_token_order_that_is_not_a_permutation_exits_one(self, ws, tmp_path,
+                                                              capsys, order):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws / "ckpt", ckpt)
+        arrays = load_arrays(ckpt)
+        arrays["mlm.token_order"] = order(arrays["mlm.token_order"].size)
+        save_arrays(ckpt, arrays)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert "mlm.token_order is not a permutation" in err
+        assert "internal error" not in err
+
     def test_internal_key_error_exits_two(self, ws, capsys, monkeypatch):
         def broken(*args):
             raise KeyError("not a user error")
@@ -791,6 +827,22 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "internal error" not in err and str(src) in err
+
+    @pytest.mark.parametrize("row, message", [
+        ({"id": "2", "text": 123}, "'text' must be a string, got 123"),
+        ({"id": "2"}, "a record has no 'text' field"),
+        ({"id": "2", "text": "x", "source": 7}, "'source' must be a string, got 7"),
+        ({"id": "1", "text": "again"}, "duplicate id '1'"),
+    ], ids=["number-text", "no-text", "number-source", "duplicate-id"])
+    def test_bad_document_row_exits_one_naming_the_line(self, tmp_path, capsys, row,
+                                                         message):
+        src = tmp_path / "raw.jsonl"
+        src.write_text(json.dumps({"id": "1", "text": "alpha beta"}) + "\n"
+                       + json.dumps(row) + "\n")
+        rc = dispatch(["data", "clean", "--in", str(src),
+                       "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 1
+        assert f"{src}:2: {message}" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one_with_usage(self, capsys):
         rc = dispatch(["tokenizer", "train", "--bogus", "x"])

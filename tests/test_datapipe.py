@@ -431,7 +431,7 @@ class TestJsonl:
     def test_duplicate_ids_rejected_on_read(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n')
-        with pytest.raises(ValueError, match="duplicate document id"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: duplicate id 'a'")):
             read_documents(path)
 
     def test_pairs_round_trip(self, tmp_path):
@@ -457,7 +457,7 @@ class TestJsonl:
     def test_documents_need_string_fields(self, tmp_path, row):
         path = tmp_path / "docs.jsonl"
         path.write_text(json.dumps(row) + "\n")
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")):
             read_documents(path)
 
     @pytest.mark.parametrize("row", [{"text": "alpha beta"}, {"id": 7, "text": "x"},

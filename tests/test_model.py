@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from medeir import autodiff as ad
-from medeir.autodiff import Tensor, grad_check
+from medeir.autodiff import Tensor
 from medeir import model as model_module
 from medeir.model import (
     ModelConfig,
     _alibi_stack,
-    adaptive_log_probs,
     alibi_slopes,
     build_model,
     embed_batch,
@@ -28,6 +27,7 @@ from medeir.model import (
 )
 from medeir.tokenizer import SPECIAL_TOKENS, TokenizerModel, Vocabulary
 from medeir.training import info_nce_loss
+from support import adaptive_log_probs, grad_check
 from test_autodiff import packed_attention_chain
 
 TOY = ModelConfig(vocab_size=40, hidden=32, layers=2, heads=4, ffn_dim=64,

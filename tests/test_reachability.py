@@ -10,9 +10,13 @@ definition, or a string constant in perfbench/ (perfbench wraps functions by
 attribute name). So `np.tanh` or a local variable named `sub` does not keep
 `autodiff.tanh` or `autodiff.sub`. Methods are matched by their bare name,
 because a receiver's type is unknown: a method counts as used when any
-attribute, name or string of that name is. __all__ lists do not count. The
-few names kept on purpose for the tests are listed below, each with its
-reason.
+attribute, name or string of that name is. __all__ lists do not count.
+
+What only tests use lives in tests/support.py, and every public name there
+is used by a test module, or by support itself. The package keeps only the
+few names that acceptance bodies call as `ad.<name>`, since edits to
+tests/test_acceptance.py are limited to its import lines; they are listed
+below.
 """
 
 import ast
@@ -22,27 +26,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "medeir"
 PROGRAM_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 STRING_DIRS = (ROOT / "perfbench",)
+TESTS = ROOT / "tests"
+SUPPORT = TESTS / "support.py"
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
-_PAPER_STAGES = ("records the paper's stage hyperparameters; tests build "
-                 "configs from it")
-_CRITERION_03 = "an op that criterion 03 grad-checks"
+_ACCEPTANCE_OP = "acceptance bodies call it as ad.<name>"
 KEPT_FOR_TESTS = {
-    "autodiff.grad_check": "finite-difference gradient checks (criterion 03)",
-    "autodiff.tensor": "float64 inputs with an explicit dtype for criterion 03",
-    "autodiff.div": _CRITERION_03,
-    "autodiff.sub": _CRITERION_03,
-    "autodiff.tanh": _CRITERION_03,
-    "model.adaptive_log_probs": "full-distribution reference for target_log_probs "
-                                "(criterion 05)",
-    "fixtures.fixture_tokenizer": "bundled tokenizers for criteria 01 and 02",
-    "fixtures.mini_corpus_texts": "bundled corpus texts for criterion 02",
-    "smoke.synthetic_topic_pairs": "retrieval data for criterion 09",
-    "smoke.bigram_vocabulary": "synthetic language for criterion 06",
-    "smoke.bigram_sequences": "synthetic language for criterion 06",
-    "smoke.windowed_masked_ce": "length-extrapolation probe for criterion 06",
-    "training.StageConfig.mlm_defaults": _PAPER_STAGES,
-    "training.StageConfig.contrastive_defaults": _PAPER_STAGES,
-    "training.StageConfig.hard_negative_defaults": _PAPER_STAGES,
+    "autodiff.tensor": _ACCEPTANCE_OP,
+    "autodiff.sub": _ACCEPTANCE_OP,
+    "autodiff.div": _ACCEPTANCE_OP,
+    "autodiff.tanh": _ACCEPTANCE_OP,
 }
 
 
@@ -188,3 +181,53 @@ def test_kept_names_are_defined_and_unreachable():
                    if key not in definitions
                    or _used(key, definitions[key], qualified, bare))
     assert not stale, f"undefined or reachable; drop them from KEPT_FOR_TESTS: {stale}"
+
+
+def test_kept_names_are_acceptance_ops():
+    """A kept name stays only while an acceptance body calls it as ad.<name>."""
+    tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    called = {f"autodiff.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "ad"}
+    wrong = sorted(key for key, reason in KEPT_FOR_TESTS.items()
+                   if key not in called or reason != _ACCEPTANCE_OP)
+    assert not wrong, f"not called as ad.<name> by acceptance bodies: {wrong}"
+
+
+def _support_names() -> set[str]:
+    """Each public top-level def, class or assigned name of tests/support.py."""
+    names = set()
+    for node in ast.parse(SUPPORT.read_text(encoding="utf-8")).body:
+        if isinstance(node, _DEFS):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def _support_uses() -> set[str]:
+    """Names a test module imports from support or reads as support.<name>,
+    and names support itself uses outside their own definitions."""
+    used = set()
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path == SUPPORT:
+            for node in tree.body:
+                for part, skipped in _units(node):
+                    used |= {sub.id for sub in ast.walk(part)
+                             if isinstance(sub, ast.Name)} - skipped
+            continue
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and sub.level == 0 \
+                    and sub.module == "support":
+                used |= {alias.name for alias in sub.names}
+            elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                  and sub.value.id == "support"):
+                used.add(sub.attr)
+    return used
+
+
+def test_every_support_name_is_used():
+    unused = sorted(_support_names() - _support_uses())
+    assert not unused, f"tests/support.py names that no test uses; delete them: {unused}"

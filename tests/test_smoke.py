@@ -1,20 +1,20 @@
-"""Generator sanity for the smoke module (the full pipeline is exercised
-by the acceptance suite)."""
+"""Sanity checks of the synthetic data generators in support (the smoke
+pipeline itself is exercised by the acceptance suite)."""
 
 import math
 
-import numpy as np
 import pytest
 
 from medeir.model import ModelConfig, build_model
-from medeir.smoke import (
+from medeir.tokenizer import SPECIAL_TOKENS
+
+from support import (
     bigram_sequences,
     bigram_stream,
     bigram_vocabulary,
     synthetic_topic_pairs,
     windowed_masked_ce,
 )
-from medeir.tokenizer import SPECIAL_TOKENS
 
 
 class TestTopicPairs:

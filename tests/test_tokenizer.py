@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from medeir import tokenizer as tokenizer_module
 from medeir.datapipe import CorpusDocument, pack_chunks
-from medeir.fixtures import fixture_tokenizer, mini_corpus_texts
 from medeir.tokenizer import (
     CONTINUATION_PREFIX,
     MAX_CHARS_PER_WORD,
@@ -22,6 +21,8 @@ from medeir.tokenizer import (
     tokenizer_compare,
     train_wordpiece,
 )
+
+from support import fixture_tokenizer, mini_corpus_texts
 
 
 def small_vocab(extra=()):

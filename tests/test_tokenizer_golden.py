@@ -9,7 +9,7 @@ pieces are left out of the comparison on both sides.
 
 import pytest
 
-from medeir.fixtures import fixture_tokenizer
+from support import fixture_tokenizer
 
 GOLDEN_ROWS = [
     ("ibuprofen",

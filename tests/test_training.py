@@ -8,7 +8,7 @@ import pytest
 
 from medeir import autodiff as ad
 from medeir import training
-from medeir.autodiff import Tensor, backward, grad_check
+from medeir.autodiff import Tensor, backward
 from medeir.model import ModelConfig, build_model, embed_sequence, load_model, mlm_loss
 from medeir.tokenizer import (
     MASK_TOKEN,
@@ -38,6 +38,8 @@ from medeir.training import (
     select_whole_word_mask,
     single_source_sampler,
 )
+
+from support import grad_check, paper_stage
 
 
 class TestSchedule:
@@ -335,13 +337,13 @@ class TestOptimizerSettings:
         ("warmup_fraction", 1.0), ("warmup_fraction", math.nan)])
     def test_stage_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
-            StageConfig.mlm_defaults(total_steps=2, **{field: value})
+            paper_stage("mlm", total_steps=2, **{field: value})
 
     def test_edges_accepted(self):
         OptimizerState(beta1=0.0, beta2=0.0, weight_decay=0.0)
-        StageConfig.mlm_defaults(total_steps=2, beta1=0.0, beta2=0.0,
-                                 weight_decay=0.0, peak_lr=0.0, max_len=1,
-                                 mask_rate=1.0)
+        paper_stage("mlm", total_steps=2, beta1=0.0, beta2=0.0,
+                    weight_decay=0.0, peak_lr=0.0, max_len=1,
+                    mask_rate=1.0)
 
 
 def letters_vocab():
@@ -665,7 +667,7 @@ class TestSampler:
 
 class TestStageConfig:
     def test_mlm_defaults(self):
-        cfg = StageConfig.mlm_defaults(total_steps=100)
+        cfg = paper_stage("mlm", total_steps=100)
         assert (cfg.peak_lr, cfg.beta1, cfg.beta2) == (2e-4, 0.9, 0.98)
         assert (cfg.global_batch, cfg.grad_accum) == (16, 2)
         assert cfg.warmup_fraction == 0.10
@@ -673,26 +675,26 @@ class TestStageConfig:
         assert cfg.max_len == 512
 
     def test_contrastive_defaults(self):
-        cfg = StageConfig.contrastive_defaults(total_steps=10)
+        cfg = paper_stage("contrastive", total_steps=10)
         assert (cfg.peak_lr, cfg.beta1, cfg.beta2) == (5e-5, 0.95, 0.98)
         assert cfg.global_batch == 1024
         assert cfg.warmup_fraction == 0.06
 
     def test_hard_negative_defaults(self):
-        cfg = StageConfig.hard_negative_defaults(total_steps=10)
+        cfg = paper_stage("hard_negative", total_steps=10)
         assert cfg.grad_accum == 2
         assert cfg.stage == "hard_negative"
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            StageConfig.mlm_defaults(total_steps=10, global_batch=5, grad_accum=2)
+            paper_stage("mlm", total_steps=10, global_batch=5, grad_accum=2)
 
     @pytest.mark.parametrize("global_batch,grad_accum",
                              [(0, 1), (0, 2), (16, 0), (16, -2), (-4, 2), (-4, -2)])
     def test_non_positive_batch_or_accumulation_rejected(self, global_batch, grad_accum):
         with pytest.raises(ValueError, match="must be >= 1"):
-            StageConfig.mlm_defaults(total_steps=10, global_batch=global_batch,
-                                     grad_accum=grad_accum)
+            paper_stage("mlm", total_steps=10, global_batch=global_batch,
+                        grad_accum=grad_accum)
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
@@ -701,19 +703,19 @@ class TestStageConfig:
                         warmup_fraction=0.1)
 
     def test_from_dict_rejects_unknown_keys(self):
-        blob = asdict(StageConfig.mlm_defaults(total_steps=5))
+        blob = asdict(paper_stage("mlm", total_steps=5))
         blob["bogus"] = 1
         with pytest.raises(ValueError):
             StageConfig.from_dict(blob)
 
     def test_from_dict_reports_wrong_type_as_value_error(self):
-        blob = asdict(StageConfig.mlm_defaults(total_steps=5))
+        blob = asdict(paper_stage("mlm", total_steps=5))
         blob["total_steps"] = "5"
         with pytest.raises(ValueError, match="invalid StageConfig"):
             StageConfig.from_dict(blob)
 
     def test_round_trip(self):
-        cfg = StageConfig.contrastive_defaults(total_steps=7, temperature=0.2)
+        cfg = paper_stage("contrastive", total_steps=7, temperature=0.2)
         assert StageConfig.from_dict(asdict(cfg)) == cfg
 
 
@@ -839,8 +841,8 @@ class TestRunStage:
     def test_mlm_stage_end_to_end(self, tmp_path):
         model, tokenizer = tiny_setup()
         data = mlm_sequences(tokenizer, n=24)
-        cfg = StageConfig.mlm_defaults(total_steps=3, global_batch=4,
-                                       grad_accum=2, max_len=32, seed=1)
+        cfg = paper_stage("mlm", total_steps=3, global_batch=4,
+                          grad_accum=2, max_len=32, seed=1)
         records = run_stage(cfg, model, tokenizer, data,
                             out_dir=tmp_path / "ckpt",
                             log_path=tmp_path / "loss.jsonl")
@@ -862,8 +864,8 @@ class TestRunStage:
     def test_mlm_first_step_loss_near_ln_v(self):
         model, tokenizer = tiny_setup()
         data = mlm_sequences(tokenizer, n=16, seed=3)
-        cfg = StageConfig.mlm_defaults(total_steps=1, global_batch=8,
-                                       grad_accum=2, max_len=32, seed=2)
+        cfg = paper_stage("mlm", total_steps=1, global_batch=8,
+                          grad_accum=2, max_len=32, seed=2)
         records = run_stage(cfg, model, tokenizer, data)
         ln_v = math.log(len(tokenizer.vocab))
         assert abs(records[0]["loss"] - ln_v) / ln_v < 0.05
@@ -871,8 +873,8 @@ class TestRunStage:
     def test_train_log_bytes(self, tmp_path):
         model, tokenizer = tiny_setup()
         data = mlm_sequences(tokenizer, n=6)  # 3 micro batches of 2
-        cfg = StageConfig.mlm_defaults(total_steps=5, global_batch=4,
-                                       grad_accum=2, max_len=32, seed=0)
+        cfg = paper_stage("mlm", total_steps=5, global_batch=4,
+                          grad_accum=2, max_len=32, seed=0)
         log = tmp_path / "train_log.jsonl"
         first = run_stage(cfg, model, tokenizer, data, log_path=log)[0]
         assert log.read_bytes() == (
@@ -884,8 +886,8 @@ class TestRunStage:
     def test_partial_accumulation_dropped_and_logged(self):
         model, tokenizer = tiny_setup()
         data = mlm_sequences(tokenizer, n=6)  # 3 micro batches of 2
-        cfg = StageConfig.mlm_defaults(total_steps=5, global_batch=4,
-                                       grad_accum=2, max_len=32, seed=0)
+        cfg = paper_stage("mlm", total_steps=5, global_batch=4,
+                          grad_accum=2, max_len=32, seed=0)
         records = run_stage(cfg, model, tokenizer, data)
         assert records[-1]["event"] == "partial_accumulation_dropped"
         full_steps = [r for r in records if "loss" in r]
@@ -895,8 +897,8 @@ class TestRunStage:
         model, tokenizer = tiny_setup()
         pairs = [(f"ab cd e{c}", f"ab cd f{c}") for c in "abcdefgh"]
         sources = [PairSource("s0", pairs)]
-        cfg = StageConfig.contrastive_defaults(total_steps=2, global_batch=4,
-                                               grad_accum=1, max_len=16, seed=4)
+        cfg = paper_stage("contrastive", total_steps=2, global_batch=4,
+                          grad_accum=1, max_len=16, seed=4)
         records = run_stage(cfg, model, tokenizer, sources)
         assert len(records) == 2
         assert all(math.isfinite(r["loss"]) for r in records)
@@ -905,8 +907,8 @@ class TestRunStage:
         model, tokenizer = tiny_setup()
         items = [(f"q{c} aa", f"p{c} bb", [f"n{c} cc", f"n{c} dd"]) for c in "abcdef"]
         sources = [PairSource("s0", items)]
-        cfg = StageConfig.hard_negative_defaults(total_steps=2, global_batch=4,
-                                                 grad_accum=2, max_len=16, seed=5)
+        cfg = paper_stage("hard_negative", total_steps=2, global_batch=4,
+                          grad_accum=2, max_len=16, seed=5)
         records = run_stage(cfg, model, tokenizer, sources)
         assert len(records) == 2
         assert all(math.isfinite(r["loss"]) for r in records)
@@ -916,8 +918,8 @@ class TestRunStage:
         counts = [2, 1, 0, 2, 0, 1]
         items = [(f"q{c} aa", f"p{c} bb", [f"n{c} c{k}" for k in "de"[:n]])
                  for c, n in zip("abcdef", counts)]
-        cfg = StageConfig.hard_negative_defaults(total_steps=3, global_batch=6,
-                                                 grad_accum=1, max_len=16, seed=5)
+        cfg = paper_stage("hard_negative", total_steps=3, global_batch=6,
+                          grad_accum=1, max_len=16, seed=5)
         records = run_stage(cfg, model, tokenizer, [PairSource("s0", items)])
         assert len(records) == 3
         assert all(math.isfinite(r["loss"]) for r in records)
@@ -946,12 +948,12 @@ class TestRunStage:
         rng = np.random.default_rng(50)
         texts = [" ".join(rng.choice(words[:1900], size=16)) for _ in range(32)]
         if stage == "mlm":
-            cfg = StageConfig.mlm_defaults(total_steps=6, global_batch=4, grad_accum=2,
-                                           peak_lr=1e-2, max_len=32, seed=3)
+            cfg = paper_stage("mlm", total_steps=6, global_batch=4, grad_accum=2,
+                              peak_lr=1e-2, max_len=32, seed=3)
             data = [tokenizer.encode(t) for t in texts]
         else:
-            cfg = StageConfig.contrastive_defaults(total_steps=6, global_batch=4,
-                                                   peak_lr=1e-2, max_len=32, seed=3)
+            cfg = paper_stage("contrastive", total_steps=6, global_batch=4,
+                              peak_lr=1e-2, max_len=32, seed=3)
             data = [PairSource("s0", list(zip(texts[:16], texts[16:])))]
 
         model_config = ModelConfig(vocab_size=len(vocab), hidden=16, layers=1,
@@ -983,8 +985,8 @@ class TestRunStage:
         def final_params():
             model, tokenizer = tiny_setup()
             data = mlm_sequences(tokenizer, n=16, seed=7)
-            cfg = StageConfig.mlm_defaults(total_steps=2, global_batch=4,
-                                           grad_accum=2, max_len=32, seed=9)
+            cfg = paper_stage("mlm", total_steps=2, global_batch=4,
+                              grad_accum=2, max_len=32, seed=9)
             run_stage(cfg, model, tokenizer, data)
             return {k: v.data.copy() for k, v in model.named_parameters().items()}
 
