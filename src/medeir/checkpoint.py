@@ -14,10 +14,13 @@ target's directory as it comes; the file is fsynced and then renamed over
 the target, or removed again if anything fails (the chunk source included),
 so a crash never leaves a half-written artifact behind. JSON-lines files are
 written by write_jsonl, one line at a time, and read by numbered_jsonl,
-whose errors name the line; string_field reads one text field of a row,
-id_error is the one message for an id that is not a JSON string, and
-_id_text_rows holds the one rule for a file of {"id", "text"} rows.
-config_from_dict turns a JSON object read from a file into a config
+which runs a per-row parser on each line's object and is the one place
+that prefixes a row error with path:line. The parsers check rows with
+string_field (a text field), id_field (an id, which must be a JSON string)
+and id_text (the one rule for a file of {"id", "text"} rows); they raise
+plain messages. A whole-file JSON object (a stage config, config.json,
+manifest.json, dataset.json) is read by read_json_object, whose errors
+name the file. config_from_dict turns such an object into a config
 dataclass, checking each value's JSON type.
 """
 
@@ -32,11 +35,13 @@ import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import Callable, Iterable, Iterator, TypeVar, get_type_hints
 
 import numpy as np
 
 CHECKPOINT_VERSION = 1
+
+_T = TypeVar("_T")
 
 _DTYPES = {
     "float32": "<f4",
@@ -113,37 +118,19 @@ _RAW_DECODE = json.JSONDecoder().raw_decode
 _HASH_BLOCK = 1 << 16
 
 
-class _DigestFile(io.FileIO):
-    """A file opened for reading whose every block read is fed to a digest.
-    A BufferedReader over it reads by readinto alone when iterated by line."""
+def numbered_jsonl(path: Path, parse: Callable[[dict], _T],
+                   data: bytes | None = None) -> Iterator[_T]:
+    """Yield parse(row) for the JSON object on each non-blank line of a
+    UTF-8 JSON-lines file: the bytes data when given (path only names
+    them), else the file at path, read as the rows are asked for.
 
-    def __init__(self, path: Path, digest):
-        super().__init__(path, "rb")
-        self._digest = digest
-
-    def readinto(self, buffer) -> int:
-        n = super().readinto(buffer)
-        if n:
-            self._digest.update(memoryview(buffer)[:n])
-        return n
-
-
-def numbered_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, JSON object) for each non-blank line of a UTF-8
-    file.
-
-    A line that is not UTF-8 or does not hold a JSON object raises
-    ValueError naming path:line. Each line is decoded by one call into the
-    C scanner; json.loads runs only on a line that fails, to raise the
-    decoder's own message. A given hashlib digest is fed the file's bytes as
-    they are read, so once the file is read to its end it covers exactly the
-    bytes that were parsed.
+    This is the one place a row error gets its location: a line that is
+    not UTF-8 or does not hold a JSON object, or a ValueError that parse
+    raises, is a ValueError naming path:line. Each line is decoded by one
+    call into the C scanner; json.loads runs only on a line that fails, to
+    raise the decoder's own message.
     """
-    if digest is None:
-        fh = open(path, "rb")
-    else:
-        fh = io.BufferedReader(_DigestFile(path, digest), _HASH_BLOCK)
-    with fh:
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -155,50 +142,56 @@ def numbered_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
                     end = -1
                 if end != len(line):
                     row = json.loads(line)
-            except ValueError as err:
+                if not isinstance(row, dict):
+                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+                value = parse(row)
+            except (UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise ValueError(f"{path}:{line_no}: invalid JSON line: {err}") from err
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}:{line_no}: expected a JSON object, "
-                                 f"got {type(row).__name__}")
-            yield line_no, row
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: {err}") from err
+            yield value
 
 
-def id_error(path: Path, line: int, key: str, value) -> ValueError:
-    """An id is a JSON string: a number is not taken for one."""
-    return ValueError(f"{path}:{line}: {key!r} must be a string, got {value!r}")
+def read_json_object(path: Path) -> dict:
+    """The JSON object a whole UTF-8 file holds; anything else is a
+    ValueError naming path."""
+    try:
+        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise ValueError(f"{path}: invalid JSON: {err}") from err
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(blob).__name__}")
+    return blob
 
 
-def string_field(row: dict, key: str, path: Path | str,
-                 default: str | None = None) -> str:
-    """row[key], which must be a string; a missing key gives default, or a
-    ValueError naming path (a file, or file:line) when default is None."""
-    if key not in row:
-        if default is None:
-            raise ValueError(f"{path}: a record has no {key!r} field")
-        return default
-    value = row[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{path}: {key!r} must be a string, got {value!r}")
+def string_field(row: dict, key: str, default: str | None = None) -> str:
+    """row[key], which must be a string; a missing key gives default, or is
+    a ValueError when default is None."""
+    value = row.get(key, default)
+    if type(value) is not str:
+        if key not in row:
+            raise ValueError(f"a record has no {key!r} field")
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
     return value
 
 
-def _id_text_rows(path: Path, digest=None) -> Iterator[tuple[int, str, str, dict]]:
-    """(line number, id, text, row) for each row of a JSONL file of
-    {"id", "text"} rows, read by numbered_jsonl. The id must be a JSON
-    string that no earlier row holds, and the text a string; each error
-    names path:line."""
-    seen = set()
-    for line, row in numbered_jsonl(path, digest):
-        key = row.get("id")
-        if type(key) is not str:
-            raise id_error(path, line, "id", key)
-        if key in seen:
-            raise ValueError(f"{path}:{line}: duplicate id {key!r}")
-        seen.add(key)
-        text = row.get("text")
-        if type(text) is not str:  # path:line is formatted only for a bad row
-            text = string_field(row, "text", f"{path}:{line}")
-        yield line, key, text, row
+def id_field(row: dict, key: str) -> str:
+    """row[key], an id: a JSON string (a number is not taken for one)."""
+    value = row.get(key)
+    if type(value) is not str:
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def id_text(row: dict, seen: set[str]) -> tuple[str, str]:
+    """The id and text of an {"id", "text"} row, the one rule for such
+    files: the id must be a JSON string that seen, the ids of the earlier
+    rows, does not hold (it is added), and the text a string."""
+    key = id_field(row, "id")
+    if key in seen:
+        raise ValueError(f"duplicate id {key!r}")
+    seen.add(key)
+    return key, string_field(row, "text")
 
 
 def config_from_dict(cls: type, blob: dict):
@@ -257,9 +250,8 @@ def load_arrays(directory: Path) -> dict[str, np.ndarray]:
     naming manifest.json and the field."""
     directory = Path(directory)
     path = directory / "manifest.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or "version" not in manifest:
+    manifest = read_json_object(path)
+    if "version" not in manifest:
         raise ValueError(f"{path}: checkpoint manifest missing version field")
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .checkpoint import atomic_write_text, checkpoint_hash, numbered_jsonl, write_jsonl
+from .checkpoint import (atomic_write_text, checkpoint_hash, numbered_jsonl, read_json_object,
+                         write_jsonl)
 from .datapipe import (
     Embedder,
     clean_document,
@@ -172,19 +173,25 @@ def _cmd_data_mine(args) -> None:
 
 def _mlm_chunks(path: Path, vocab: Vocabulary, max_len: int) -> Iterator[EncodedSequence]:
     """Each chunk line of path as an EncodedSequence, read and checked one
-    line at a time as the stage asks for it; a chunk longer than max_len is
-    an error naming its line."""
+    line at a time as the stage asks for it; a chunk longer than max_len,
+    or one with no word to mask, is an error naming its line."""
     size = len(vocab)
-    for line, blob in numbered_jsonl(path):
-        ids = blob.get("ids")
+
+    def chunk(row: dict) -> EncodedSequence:
+        ids = row.get("ids")
         if not (isinstance(ids, list)
                 and all(type(i) is int and 0 <= i < size for i in ids)):
-            raise ValueError(f"{path}:{line}: 'ids' must be a list of token ids "
-                             f"in [0, {size}), got {ids!r}")
+            raise ValueError(f"'ids' must be a list of token ids in [0, {size}), "
+                             f"got {ids!r}")
         if len(ids) > max_len:
-            raise ValueError(f"{path}:{line}: an MLM sequence of {len(ids)} tokens "
-                             f"exceeds max_len {max_len}")
-        yield sequence_from_ids(vocab, ids)
+            raise ValueError(f"an MLM sequence of {len(ids)} tokens exceeds "
+                             f"max_len {max_len}")
+        sequence = sequence_from_ids(vocab, ids)
+        if not sequence.word_groups:
+            raise ValueError(f"an MLM sequence needs a word to mask, got {ids!r}")
+        return sequence
+
+    return numbered_jsonl(path, chunk)
 
 
 def _load_stage_data(stage: str, path: Path, vocab: Vocabulary, max_len: int):
@@ -208,10 +215,7 @@ def _load_stage_data(stage: str, path: Path, vocab: Vocabulary, max_len: int):
 
 def _cmd_train(args) -> None:
     stage = _STAGE_BY_COMMAND[args.stage_command]
-    with open(args.config, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if not isinstance(blob, dict):
-        raise UserError(f"stage config {args.config} is not a JSON object")
+    blob = read_json_object(Path(args.config))
     blob.setdefault("stage", stage)
     if blob["stage"] != stage:
         raise UserError(f"config declares stage {blob['stage']!r} but the "
@@ -238,15 +242,6 @@ def _cmd_embed(args) -> None:
                       "vector": [float(x) for x in vector]}))
 
 
-def _require_distinct_names(kind: str, named: Sequence[tuple[str, str]]) -> None:
-    """Report rows are keyed by name, so two inputs of one name would merge."""
-    seen: dict[str, str] = {}
-    for name, path in named:
-        if name in seen:
-            raise UserError(f"{kind} {seen[name]} and {path} are both named {name!r}")
-        seen[name] = path
-
-
 def _path_list(value: str) -> list[str]:
     """The paths of a comma-separated list; empty items are skipped."""
     return [p for p in value.split(",") if p]
@@ -256,10 +251,7 @@ def _cmd_eval(args) -> None:
     """eval compare; eval run is eval compare of one model on one dataset."""
     cache_dir = default_cache_dir()
     models = [_model_under_test(p) for p in args.models]
-    _require_distinct_names("models", [(m.name, p) for m, p in zip(models, args.models)])
     datasets = [load_dataset(Path(p), cache_dir) for p in args.datasets]
-    _require_distinct_names("datasets", [(d.name, p)
-                                         for d, p in zip(datasets, args.datasets)])
     report = compare_models(models, datasets, k=args.k, cache_dir=cache_dir)
     if args.out:
         save_report(Path(args.out), report)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .checkpoint import _id_text_rows, numbered_jsonl, string_field, write_jsonl
+from .checkpoint import id_text, numbered_jsonl, string_field, write_jsonl
 from .evaluation import _top_k
 from .tokenizer import SEP_TOKEN, TokenizerModel
 
@@ -218,13 +218,14 @@ def mine_hard_negatives(pairs: Sequence[SentencePair],
 # JSONL I/O
 
 def read_documents(path: Path) -> list[CorpusDocument]:
-    docs = []
-    for line, doc_id, text, blob in _id_text_rows(path):
-        source = blob.get("source", "")
-        if type(source) is not str:  # path:line is formatted only for a bad row
-            source = string_field(blob, "source", f"{path}:{line}")
-        docs.append(CorpusDocument(id=doc_id, text=text, source=source))
-    return docs
+    seen: set[str] = set()
+
+    def document(row: dict) -> CorpusDocument:
+        doc_id, text = id_text(row, seen)
+        return CorpusDocument(id=doc_id, text=text,
+                              source=string_field(row, "source", ""))
+
+    return list(numbered_jsonl(path, document))
 
 
 def write_documents(path: Path, docs: Iterable[CorpusDocument]) -> None:
@@ -233,28 +234,19 @@ def write_documents(path: Path, docs: Iterable[CorpusDocument]) -> None:
                        for d in docs))
 
 
-def _record(where: str, cls, **values):
-    """cls(**values); a ValueError from its checks names where."""
-    try:
-        return cls(**values)
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from err
+def _pair(row: dict) -> SentencePair:
+    """A pair row; "similarity", when present, must be a number."""
+    similarity = row.get("similarity")
+    if "similarity" in row and type(similarity) not in (int, float):
+        raise ValueError(f"'similarity' must be a number, got {similarity!r}")
+    return SentencePair(query=string_field(row, "query"),
+                        positive=string_field(row, "positive"),
+                        source_id=string_field(row, "source_id", ""),
+                        similarity=similarity)
 
 
 def read_pairs(path: Path) -> list[SentencePair]:
-    """Each line's pair; "similarity", when present, must be a number."""
-    pairs = []
-    for line, blob in numbered_jsonl(path):
-        where = f"{path}:{line}"
-        similarity = blob.get("similarity")
-        if "similarity" in blob and type(similarity) not in (int, float):
-            raise ValueError(f"{where}: 'similarity' must be a number, got {similarity!r}")
-        pairs.append(_record(where, SentencePair,
-                             query=string_field(blob, "query", where),
-                             positive=string_field(blob, "positive", where),
-                             source_id=string_field(blob, "source_id", where, ""),
-                             similarity=similarity))
-    return pairs
+    return list(numbered_jsonl(path, _pair))
 
 
 def write_pairs(path: Path, pairs: Iterable[SentencePair]) -> None:
@@ -265,25 +257,23 @@ def write_pairs(path: Path, pairs: Iterable[SentencePair]) -> None:
                        for p in pairs))
 
 
+def _hard_negative(row: dict) -> HardNegativeRecord:
+    """A mined record row; "flagged", when present, must be true or false."""
+    negatives = row.get("negatives")
+    if not isinstance(negatives, list) or not all(isinstance(n, str) for n in negatives):
+        raise ValueError(f"'negatives' must be a list of strings, got {negatives!r}")
+    flagged = row.get("flagged", False)
+    if type(flagged) is not bool:
+        raise ValueError(f"'flagged' must be true or false, got {flagged!r}")
+    return HardNegativeRecord(query=string_field(row, "query"),
+                              positive=string_field(row, "positive"),
+                              negatives=tuple(negatives),
+                              source_id=string_field(row, "source_id", ""),
+                              flagged=flagged)
+
+
 def read_hard_negatives(path: Path) -> list[HardNegativeRecord]:
-    """Each line's record; "flagged", when present, must be true or false."""
-    records = []
-    for line, blob in numbered_jsonl(path):
-        where = f"{path}:{line}"
-        negatives = blob.get("negatives")
-        if not isinstance(negatives, list) or not all(isinstance(n, str) for n in negatives):
-            raise ValueError(f"{where}: 'negatives' must be a list of strings, "
-                             f"got {negatives!r}")
-        flagged = blob.get("flagged", False)
-        if type(flagged) is not bool:
-            raise ValueError(f"{where}: 'flagged' must be true or false, got {flagged!r}")
-        records.append(_record(where, HardNegativeRecord,
-                               query=string_field(blob, "query", where),
-                               positive=string_field(blob, "positive", where),
-                               negatives=tuple(negatives),
-                               source_id=string_field(blob, "source_id", where, ""),
-                               flagged=flagged))
-    return records
+    return list(numbered_jsonl(path, _hard_negative))
 
 
 def write_hard_negatives(path: Path, records: Iterable[HardNegativeRecord]) -> None:

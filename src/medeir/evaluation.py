@@ -15,24 +15,28 @@ plus enough metadata to trace which checkpoint produced them.
 With a cache directory (MEDEIR_CACHE for the CLI), work is kept across
 runs: corpus embeddings as <checkpoint>-<tokenizer>-<corpus>.npz, and the
 parsed dataset files as dataset-<sha256>.json, keyed by the files' bytes,
-so a warm run embeds no corpus document and parses no JSON line.
+so a warm run embeds no corpus document and parses no JSON line. An entry
+that cannot be read, or does not fit what it stands for, is a miss and is
+rewritten.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import (_id_text_rows, atomic_write_bytes, atomic_write_text, file_hash,
-                         id_error, numbered_jsonl, write_jsonl)
+from .checkpoint import (atomic_write_bytes, atomic_write_text, id_field, id_text,
+                         numbered_jsonl, read_json_object, write_jsonl)
 # embed_text is not called here; perfbench/spans.py wraps it by this name
 from .model import EncoderModel, embed_text, embed_texts  # noqa: F401
 from .tokenizer import CONTINUATION_PREFIX, TokenizerModel
@@ -116,17 +120,30 @@ def _embed_corpus(mut: ModelUnderTest, corpus: Mapping[str, str],
                         tokenizer_fingerprint(mut.tokenizer)[:16],
                         _corpus_fingerprint(corpus)[:16]))
         cache_path = Path(cache_dir) / f"{key}.npz"
-        if cache_path.exists():
-            with np.load(cache_path) as blob:
-                cached_ids = [str(x) for x in blob["ids"]]
-                if cached_ids == doc_ids:
-                    return doc_ids, blob["embeddings"]
+        matrix = _cached_embeddings(cache_path, doc_ids, mut.model.config.hidden)
+        if matrix is not None:
+            return doc_ids, matrix
     matrix = embed_texts(mut.model, mut.tokenizer, [corpus[did] for did in doc_ids])
     if cache_path is not None:
         buffer = io.BytesIO()
         np.savez(buffer, ids=np.array(doc_ids), embeddings=matrix)
         atomic_write_bytes(cache_path, (buffer.getbuffer(),))
     return doc_ids, matrix
+
+
+def _cached_embeddings(path: Path, doc_ids: list[str], width: int) -> np.ndarray | None:
+    """The embeddings matrix of a cache entry, or None when the entry is
+    missing, np.load cannot read it, or its ids or matrix shape do not fit
+    doc_ids and width: a miss, which the caller rewrites."""
+    try:
+        with np.load(path) as blob:
+            if [str(x) for x in blob["ids"]] == doc_ids:
+                matrix = blob["embeddings"]
+                if matrix.shape == (len(doc_ids), width):
+                    return matrix
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +300,12 @@ def compare_models(models: Sequence[ModelUnderTest],
         raise ValueError("at least one model required")
     if not datasets:
         raise ValueError("at least one dataset required")
+    # rows are keyed by name, so two inputs of one name would merge
+    for kind, names in (("models", [m.name for m in models]),
+                        ("datasets", [d.name for d in datasets])):
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ValueError(f"two {kind} are named {repeated[0]!r}")
     rows = []
     skipped: dict[str, int] = {}
     for dataset in datasets:
@@ -357,51 +380,46 @@ def load_dataset(directory: Path, cache_dir: Path | None = None) -> RetrievalDat
     """Read a dataset directory. Its name is the one dataset.json records,
     or else the directory's name.
 
-    With a cache_dir, a parsed copy of the three JSON-lines files is kept
-    there as dataset-<key>.json, the key being the sha256 of the three files'
-    sha256 digests. A later load of the same bytes decodes that entry in one
-    json.loads instead of reading the files line by line, and writes nothing;
-    an entry that does not decode to three tables that RetrievalDataset
-    accepts is a miss and is rewritten.
+    Each of the three JSON-lines files is read once. With a cache_dir, a
+    parsed copy of them is kept there as dataset-<key>.json, the key being
+    the sha256 of the three files' sha256 digests, taken over the bytes
+    that are parsed. A later load of the same bytes decodes that entry in
+    one json.loads instead of parsing them line by line, and writes
+    nothing; an entry that does not decode to three tables that
+    RetrievalDataset accepts is a miss and is rewritten.
     """
     directory = Path(directory)
     paths = [directory / f"{part}.jsonl" for part in _DATASET_FILES]
-    digests = None
+    blobs = [path.read_bytes() for path in paths]
     if cache_dir is not None:
-        tables = _read_dataset_entry(
-            _dataset_entry(cache_dir, [file_hash(path) for path in paths]))
+        entry = _dataset_entry(cache_dir, [hashlib.sha256(b).hexdigest() for b in blobs])
+        tables = _read_dataset_entry(entry)
         if tables is not None:
             name = _dataset_name(directory)
             try:
                 return RetrievalDataset(name, *tables)
             except ValueError:
                 pass  # not what a parse gives: a miss
-        digests = [hashlib.sha256() for _ in paths]
-    tables = _parse_dataset(paths, digests or [None] * len(paths))
+    tables = _parse_dataset(paths, blobs)
     dataset = RetrievalDataset(_dataset_name(directory), *tables)
-    if digests is not None:
-        # keyed by the bytes parsed, which may differ from the bytes hashed above
-        entry = _dataset_entry(cache_dir, [d.hexdigest() for d in digests])
+    if cache_dir is not None:
         atomic_write_bytes(entry, _dataset_entry_chunks(tables))
     return dataset
 
 
-def _parse_dataset(paths: Sequence[Path], digests: Sequence) -> tuple[dict, dict, dict]:
-    """The queries, corpus and qrels tables; each file's bytes are fed to
-    its digest, if any, as they are parsed."""
-    queries = _read_id_text(paths[0], digests[0])
-    corpus = _read_id_text(paths[1], digests[1])
+def _grade(row: dict) -> tuple[str, str, int]:
+    rel = row.get("rel")
+    if type(rel) is not int or rel < 0:  # a bool is not a grade
+        raise ValueError(f"'rel' must be an integer >= 0, got {rel!r}")
+    return id_field(row, "qid"), id_field(row, "did"), rel
+
+
+def _parse_dataset(paths: Sequence[Path], blobs: Sequence[bytes]) -> tuple[dict, dict, dict]:
+    """The queries, corpus and qrels tables parsed from each file's bytes."""
+    queries = dict(numbered_jsonl(paths[0], functools.partial(id_text, seen=set()), blobs[0]))
+    corpus = dict(numbered_jsonl(paths[1], functools.partial(id_text, seen=set()), blobs[1]))
     qrels: dict[str, dict[str, int]] = {}
-    path = paths[2]
-    for line, blob in numbered_jsonl(path, digests[2]):
-        rel = blob.get("rel")
-        if type(rel) is not int or rel < 0:  # a bool is not a grade
-            raise ValueError(f"{path}:{line}: 'rel' must be an integer >= 0, got {rel!r}")
-        qid, did = blob.get("qid"), blob.get("did")
-        if type(qid) is not str:
-            raise id_error(path, line, "qid", qid)
-        if type(did) is not str:
-            raise id_error(path, line, "did", did)
+    for qid, did, rel in numbered_jsonl(paths[2], _grade, blobs[2]):
         qrels.setdefault(qid, {})[did] = rel
     return queries, corpus, qrels
 
@@ -410,14 +428,7 @@ def _dataset_name(directory: Path) -> str:
     info = directory / "dataset.json"
     if not info.exists():
         return directory.name
-    with open(info, "r", encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except ValueError as err:
-            raise ValueError(f"{info}: invalid JSON: {err}") from err
-    if not isinstance(blob, dict):
-        raise ValueError(f"{info}: expected a JSON object, got {type(blob).__name__}")
-    name = blob.get("name")
+    name = read_json_object(info).get("name")
     if type(name) is not str:
         raise ValueError(f"{info}: 'name' must be a string, got {name!r}")
     return name
@@ -463,10 +474,6 @@ def save_dataset(directory: Path, dataset: RetrievalDataset) -> None:
                 ({"qid": qid, "did": did, "rel": dataset.qrels[qid][did]}
                  for qid in sorted(dataset.qrels)
                  for did in sorted(dataset.qrels[qid])))
-
-
-def _read_id_text(path: Path, digest) -> dict[str, str]:
-    return {key: text for _, key, text, _ in _id_text_rows(path, digest)}
 
 
 def _write_id_text(path: Path, table: Mapping[str, str]) -> None:

@@ -21,4 +21,4 @@ def _asset(name: str):
 def load_mini_corpus() -> list[dict]:
     """Return the bundled abstracts as a list of {"id", "text"} dicts."""
     with resources.as_file(_asset("mini_medical_abstracts.jsonl")) as path:
-        return [row for _, row in numbered_jsonl(path)]
+        return list(numbered_jsonl(path, dict))

@@ -44,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import (atomic_write_text, config_from_dict, file_hash, load_arrays,
-                         save_arrays)
+                         read_json_object, save_arrays)
 from .tokenizer import TokenizerModel, Vocabulary
 
 MODEL_FORMAT_VERSION = 2
@@ -603,8 +603,7 @@ def save_model(directory: Path, model: EncoderModel, vocab: Vocabulary) -> None:
 
 def load_model(directory: Path) -> tuple[EncoderModel, Vocabulary]:
     directory = Path(directory)
-    with open(directory / "config.json", "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
+    blob = read_json_object(directory / "config.json")
     if "format_version" not in blob:
         raise ValueError("model config missing format_version")
     version = blob.pop("format_version")

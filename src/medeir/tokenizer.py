@@ -105,8 +105,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(ln for ln in lines if ln)
+        """The vocabulary of a UTF-8 file of one token per line (blank lines
+        skipped); an undecodable or invalid one is a ValueError naming path."""
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            return cls(ln for ln in lines if ln)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
 
 
 @dataclass

@@ -12,17 +12,17 @@ def no_cache_from_the_shell(monkeypatch):
 
 @pytest.fixture
 def dataset_reads(monkeypatch):
-    """The paths that load_dataset reads line by line, one entry per read:
-    the qrels file directly, the id/text files through _id_text_rows."""
+    """The paths that load_dataset parses line by line, one entry per
+    numbered_jsonl call."""
     import medeir.checkpoint as checkpoint
     import medeir.evaluation as evaluation
 
     paths = []
     real = checkpoint.numbered_jsonl
 
-    def counting(path, digest=None):
+    def counting(path, parse, data=None):
         paths.append(path)
-        return real(path, digest)
+        return real(path, parse, data)
 
     monkeypatch.setattr(checkpoint, "numbered_jsonl", counting)
     monkeypatch.setattr(evaluation, "numbered_jsonl", counting)

@@ -1,6 +1,7 @@
 """The package's file I/O: the atomic writer, the JSON-lines helpers, and
 the exact bytes of every pipeline file written through them."""
 
+import ast
 import hashlib
 import json
 import os
@@ -122,31 +123,73 @@ class TestReadJsonl:
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
-        assert list(numbered_jsonl(path)) == [(1, {"a": 1}), (4, {"a": 2})]
-
-    @pytest.mark.parametrize("tail", [b"", b"\n\n", b'{"a": 7}'], ids=["newline", "blank",
-                                                                     "no-newline"])
-    def test_digest_covers_the_bytes_read(self, tmp_path, tail):
-        path = tmp_path / "rows.jsonl"
-        rows = [{"i": i, "text": "x" * (i % 97)} for i in range(4000)]
-        path.write_bytes("".join(json.dumps(r) + "\n" for r in rows).encode() + tail)
-        assert path.stat().st_size > 2 * checkpoint._HASH_BLOCK
-        digest = hashlib.sha256()
-        got = [row for _, row in numbered_jsonl(path, digest)]
-        assert got == rows + ([{"a": 7}] if tail.strip() else [])
-        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert list(numbered_jsonl(path, dict)) == [{"a": 1}, {"a": 2}]
 
     @pytest.mark.parametrize("bad", [b"{not json", b"[1, 2]", b'{"a": "\xff"}'])
     def test_bad_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "rows.jsonl"
         path.write_bytes(b'{"a": 1}\n\n' + bad + b"\n")
         with pytest.raises(ValueError, match="rows.jsonl:3"):
-            list(numbered_jsonl(path))
+            list(numbered_jsonl(path, dict))
+
+    def test_parser_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": -1}\n')
+
+        def positive(row):
+            if row["a"] < 0:
+                raise ValueError("'a' must be >= 0")
+            return row["a"]
+
+        with pytest.raises(ValueError) as info:
+            list(numbered_jsonl(path, positive))
+        assert str(info.value) == f"{path}:3: 'a' must be >= 0"
+
+    def test_given_bytes_are_parsed_instead_of_the_file(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": "on disk"}\n')
+        data = b'{"a": 1}\n\n[2]\n'
+        with pytest.raises(ValueError) as info:
+            list(numbered_jsonl(path, dict, data))
+        assert str(info.value) == f"{path}:3: expected a JSON object, got list"
+
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "medeir"
+
+
+def _line_number_fstrings() -> list[tuple[str, str, int]]:
+    """(module, enclosing function, line) of every f-string under the
+    package that interpolates a name or attribute spelled with "line"."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.FormattedValue):
+            spelled = [n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node.value)
+                       if isinstance(n, (ast.Name, ast.Attribute))]
+            if any("line" in name.lower() for name in spelled):
+                found.append((module, function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(_PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_only_numbered_jsonl_formats_a_line_number():
+    """A row error gets its path:line from numbered_jsonl alone; a parser
+    raises a plain message."""
+    found = _line_number_fstrings()
+    assert {(module, function) for module, function, _ in found} == {
+        ("checkpoint", "numbered_jsonl")}, found
 
 
 def loads_per_line(path):
     """The reader before raw_decode: one json.loads per stripped line,
-    yielding (line number, row)."""
+    yielding each row."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -159,7 +202,7 @@ def loads_per_line(path):
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{line_no}: expected a JSON object, "
                                  f"got {type(row).__name__}")
-            yield line_no, row
+            yield row
 
 
 def outcome(reader, path):
@@ -202,7 +245,10 @@ class TestReadJsonlMatchesLoadsPerLine:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rows.jsonl"
             path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
-            assert outcome(numbered_jsonl, path) == outcome(loads_per_line, path)
+            expected = outcome(loads_per_line, path)
+            assert outcome(lambda p: numbered_jsonl(p, dict), path) == expected
+            data = path.read_bytes()
+            assert outcome(lambda p: numbered_jsonl(p, dict, data), path) == expected
 
 
 class TestGoldenBytes:

@@ -334,7 +334,7 @@ class TestTrainCommands:
                        "--data", str(ws / "pairs.jsonl"),
                        "--init", str(ws / "ckpt"), "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "not a JSON object" in capsys.readouterr().err
+        assert f"{cfg}: expected a JSON object, got list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("temperature", "0.05"), ("max_len", "128"), ("seed", 1.5),
@@ -433,7 +433,7 @@ class TestStreamedMlm:
         assert train_mlm(ws, tmp_path, chunks, out, **overrides) == 0
 
         model, vocab = load_model(ws / "ckpt")
-        data = [sequence_from_ids(vocab, row["ids"]) for _, row in numbered_jsonl(chunks)]
+        data = list(numbered_jsonl(chunks, lambda row: sequence_from_ids(vocab, row["ids"])))
         config = StageConfig.from_dict(
             json.loads(stage_config(tmp_path, "mlm", **overrides).read_text()))
         listed = tmp_path / "listed"
@@ -481,6 +481,17 @@ class TestStreamedMlm:
         err = capsys.readouterr().err
         assert f"{chunks}:2: an MLM sequence of 6 tokens exceeds max_len 4" in err
         assert "internal error" not in err and not out.exists()
+
+    @pytest.mark.parametrize("ids", [[], [3], [2, 3]], ids=["empty", "sep", "cls-sep"])
+    def test_chunk_with_no_word_names_file_and_line(self, ws, tmp_path, capsys, ids):
+        chunks = tmp_path / "chunks.jsonl"
+        chunks.write_text(json.dumps({"ids": [5, 6, 7]}) + "\n"
+                          + json.dumps({"ids": ids}) + "\n")
+        out = tmp_path / "ckpt_mlm"
+        assert train_mlm(ws, tmp_path, chunks, out) == 1
+        err = capsys.readouterr().err
+        assert f"{chunks}:2: an MLM sequence needs a word to mask, got {ids!r}" in err
+        assert not out.exists()
 
     def test_run_stage_still_rejects_a_sequence_longer_than_max_len(self, ws, tmp_path):
         model, vocab = load_model(ws / "ckpt")
@@ -681,7 +692,7 @@ class TestEvalCommands:
                        "--datasets", str(ws / "dataset"), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"models {ws / 'ckpt'} and {other} are both named 'ckpt'" in err
+        assert "two models are named 'ckpt'" in err
         assert not out.exists()
 
     def test_eval_compare_rejects_two_datasets_of_one_name(self, ws, tmp_path, capsys):
@@ -694,7 +705,7 @@ class TestEvalCommands:
                        "--datasets", f"{first},{second}", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"datasets {first} and {second} are both named 'same'" in err
+        assert "two datasets are named 'same'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("content", ["{}", "[1]", '{"name": 7}'],
@@ -884,6 +895,85 @@ class TestExitCodes:
         ns = argparse.Namespace(func=boom)
         assert cli._execute(ns) == 2
         assert "internal error" in capsys.readouterr().err
+
+
+def _bad_input(ws, tmp_path, kind):
+    """(argv, path, line) for a run whose input of the given kind holds a
+    bad row on line 2 (line None: a bad whole file)."""
+    ckpt, ds = ws / "ckpt", tmp_path / "dataset"
+    shutil.copytree(ws / "dataset", ds)
+    good_chunk = {"ids": [5, 6, 7]}
+
+    def jsonl(name, good, bad):
+        path = tmp_path / name
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        return path
+
+    def train(stage, data, config=None):
+        config = config or stage_config(tmp_path, cli._STAGE_BY_COMMAND[stage])
+        return ["train", stage, "--config", str(config), "--data", str(data),
+                "--init", str(ckpt), "--out", str(tmp_path / "out")]
+
+    def eval_run(model=ckpt):
+        return ["eval", "run", "--model", str(model), "--dataset", str(ds),
+                "--out", str(tmp_path / "report.json")]
+
+    def broken_checkpoint(name, content):
+        copy = tmp_path / "ckpt"
+        shutil.copytree(ckpt, copy)
+        (copy / name).write_text(content)
+        return copy, copy / name
+
+    if kind == "documents":
+        path = jsonl("docs.jsonl", {"id": "a", "text": "alpha"}, {"id": "b", "text": 5})
+        return ["data", "clean", "--in", str(path), "--out", str(tmp_path / "o")], path, 2
+    if kind == "pairs":
+        path = jsonl("pairs.jsonl", {"query": "a", "positive": "b"}, {"query": "a"})
+        return ["data", "filter", "--in", str(path), "--model", str(ckpt),
+                "--out", str(tmp_path / "o"), "--threshold", "0"], path, 2
+    if kind == "mined":
+        path = jsonl("mined.jsonl", {"query": "a", "positive": "b", "negatives": ["c"]},
+                     {"query": "a", "positive": "b", "negatives": "c"})
+        return train("hardneg", path), path, 2
+    if kind == "chunks":
+        path = jsonl("chunks.jsonl", good_chunk, {"ids": [2, 3]})
+        return train("mlm", path), path, 2
+    if kind in ("queries", "corpus"):
+        path = ds / f"{kind}.jsonl"
+        path.write_text(path.read_text() + json.dumps({"id": 7, "text": "a"}) + "\n")
+        return eval_run(), path, len(path.read_text().splitlines())
+    if kind == "qrels":
+        path = ds / "qrels.jsonl"
+        path.write_text(path.read_text() + json.dumps({"qid": "q1", "did": "d0"}) + "\n")
+        return eval_run(), path, 2
+    if kind == "stage-config":
+        path = tmp_path / "mlm.json"
+        path.write_text('{"stage": ')
+        chunks = jsonl("chunks.jsonl", good_chunk, good_chunk)
+        return train("mlm", chunks, config=path), path, None
+    if kind in ("config.json", "manifest.json"):
+        copy, path = broken_checkpoint(kind, "[1]" if kind == "config.json" else "{x")
+        return eval_run(copy), path, None
+    path = tmp_path / "vocab.txt"
+    if kind == "vocab-repeat":
+        path.write_text("\n".join(list(SPECIAL_TOKENS) + ["alpha", "alpha"]) + "\n")
+        return ["tokenizer", "merge", "--base", str(path), "--domain",
+                str(ckpt / "vocab.txt"), "--out", str(tmp_path / "o")], path, None
+    path.write_bytes("\n".join(SPECIAL_TOKENS).encode() + b"\n\xff\n")
+    return ["data", "pack", "--in", str(ws / "corpus.jsonl"), "--vocab", str(path),
+            "--out", str(tmp_path / "o")], path, None
+
+
+@pytest.mark.parametrize("kind", [
+    "documents", "pairs", "mined", "chunks", "queries", "corpus", "qrels",
+    "stage-config", "config.json", "manifest.json", "vocab-repeat", "vocab-not-utf8"])
+def test_every_input_error_starts_with_its_path(ws, tmp_path, capsys, kind):
+    """A bad row names path:line, a bad whole file names its path, first."""
+    argv, path, line = _bad_input(ws, tmp_path, kind)
+    assert dispatch(argv) == 1
+    where = str(path) if line is None else f"{path}:{line}"
+    err = capsys.readouterr().err
+    assert err.startswith(f"medeir: error: {where}: "), err
 
 
 def readme_commands() -> list[str]:

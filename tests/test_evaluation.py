@@ -2,9 +2,12 @@
 report shape, and the embedding cache."""
 
 import hashlib
+import io
 import json
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +243,14 @@ class TestCompareModels:
         with pytest.raises(ValueError):
             compare_models([mut], [], k=2)
 
+    def test_two_inputs_of_one_name_are_rejected(self, mut):
+        twin = ModelUnderTest(name=mut.name, model=mut.model, tokenizer=mut.tokenizer)
+        with pytest.raises(ValueError, match="^two models are named 'toy'$"):
+            compare_models([mut, twin], [make_dataset()], k=2)
+        with pytest.raises(ValueError, match="^two datasets are named 'toy-ds'$"):
+            compare_models([mut], [make_dataset(name="other"), make_dataset(),
+                                   make_dataset()], k=2)
+
 
 class TestEvalReport:
     def test_values_outside_percent_range_rejected(self):
@@ -373,6 +384,30 @@ class TestEmbeddingCache:
         assert first == second
         assert len(list(cache.glob("*.npz"))) == 1
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda good: b"garbage", lambda good: good[:100], lambda good: b"",
+        lambda good: npz_bytes(ids=np.array(["d1", "d2"]), embeddings=np.zeros((2, 16))),
+        lambda good: npz_bytes(ids=np.array(["d1", "d2", "d3"]),
+                               embeddings=np.zeros((3, 8))),
+        lambda good: npz_bytes(ids=np.array(["d1", "d2", "d3"])),
+        lambda good: npz_bytes(ids=np.array([None] * 3, dtype=object),
+                               embeddings=np.zeros((3, 16))),
+    ], ids=["garbage", "truncated", "empty", "other-ids", "other-width", "no-embeddings",
+            "pickled-ids"])
+    def test_unreadable_or_unfitting_entry_is_a_miss_and_is_rewritten(self, mut, tmp_path,
+                                                                      corrupt):
+        ds = make_dataset(corpus={"d1": "a b", "d2": "c d", "d3": "e f"},
+                          qrels={"q1": {"d1": 1}})
+        cache = tmp_path / "cache"
+        first = retrieval_run(mut, ds, k=3, cache_dir=cache)
+        (entry,) = cache.glob("*.npz")
+        good = entry.read_bytes()
+        entry.write_bytes(corrupt(good))
+        assert retrieval_run(mut, ds, k=3, cache_dir=cache) == first
+        with np.load(entry) as blob:
+            assert list(blob["ids"]) == ["d1", "d2", "d3"]
+            assert blob["embeddings"].shape == (3, mut.model.config.hidden)
+
     def test_no_hash_means_no_cache(self, mut, tmp_path):
         anon = ModelUnderTest(name="anon", model=mut.model,
                               tokenizer=mut.tokenizer)
@@ -388,6 +423,12 @@ class TestEmbeddingCache:
         assert ev.default_cache_dir() is None
 
 
+def npz_bytes(**arrays):
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
 def dataset_tables(ds):
     """Every table of a dataset, with its dict order."""
     return (list(ds.queries.items()), list(ds.corpus.items()),
@@ -397,6 +438,29 @@ def dataset_tables(ds):
 def cache_stat(cache):
     return [(p.name, p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_size)
             for p in sorted(cache.iterdir())]
+
+
+@pytest.fixture(scope="session")
+def _open_log():
+    """Where an audit hook records the paths this process opens (builtin
+    open, io.FileIO, os.open), while log["paths"] is a list."""
+    log = {"paths": None}
+
+    def record(event, args):
+        if (log["paths"] is not None and event == "open"
+                and isinstance(args[0], (str, bytes, os.PathLike))):
+            log["paths"].append(os.fsdecode(args[0]))
+
+    sys.addaudithook(record)  # a hook cannot be removed; it idles between tests
+    return log
+
+
+@pytest.fixture
+def opened(_open_log):
+    """The paths opened while the test runs."""
+    _open_log["paths"] = []
+    yield _open_log["paths"]
+    _open_log["paths"] = None
 
 
 class TestDatasetCache:
@@ -463,28 +527,37 @@ class TestDatasetCache:
         assert len(list(cache.glob("dataset-*.json"))) == 2
         assert dataset_tables(changed) == dataset_tables(load_dataset(ds_dir))
 
-    def test_file_rewritten_after_the_lookup_is_cached_under_its_new_bytes(
+    def test_file_rewritten_after_the_read_is_cached_as_read(
             self, ds_dir, tmp_path, monkeypatch, dataset_reads):
         cache = tmp_path / "cache"
-        qrels = ds_dir / "qrels.jsonl"
-        real = ev.file_hash
-
-        def hash_then_rewrite(path):
-            digest = real(path)
-            if path == qrels:
-                path.write_text(path.read_text().replace('"rel": 1', '"rel": 2'))
-            return digest
-
-        monkeypatch.setattr(ev, "file_hash", hash_then_rewrite)
-        loaded = load_dataset(ds_dir, cache)
-        assert loaded.qrels["q1"] == {"d1": 2}
-        monkeypatch.setattr(ev, "file_hash", real)
         paths = [ds_dir / f"{part}.jsonl" for part in ("queries", "corpus", "qrels")]
-        entry = ev._dataset_entry(cache, [file_hash(p) for p in paths])
+        read = [path.read_bytes() for path in paths]
+        real = ev._read_dataset_entry
+
+        def look_up_then_rewrite(entry):
+            paths[2].write_text(read[2].decode().replace('"rel": 1', '"rel": 2'))
+            return real(entry)
+
+        monkeypatch.setattr(ev, "_read_dataset_entry", look_up_then_rewrite)
+        loaded = load_dataset(ds_dir, cache)
+        monkeypatch.setattr(ev, "_read_dataset_entry", real)
+        assert loaded.qrels["q1"] == {"d1": 1}
+        entry = ev._dataset_entry(cache, [hashlib.sha256(b).hexdigest() for b in read])
         assert [p.name for p in cache.iterdir()] == [entry.name]
         del dataset_reads[:]
-        assert dataset_tables(load_dataset(ds_dir, cache)) == dataset_tables(loaded)
-        assert dataset_reads == []
+        assert load_dataset(ds_dir, cache).qrels["q1"] == {"d1": 2}
+        assert len(dataset_reads) == 3
+        assert len(list(cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+    def test_one_load_opens_each_file_once(self, ds_dir, tmp_path, opened, warm):
+        cache = tmp_path / "cache"
+        if warm:
+            load_dataset(ds_dir, cache)
+        del opened[:]
+        load_dataset(ds_dir, cache)
+        files = [str(ds_dir / f"{part}.jsonl") for part in ("queries", "corpus", "qrels")]
+        assert sorted(p for p in opened if p in files) == sorted(files)
 
     @pytest.mark.parametrize("corrupt", [
         b"", b"not json", b"\xff\xfe", b"[1]", b'{"queries": {}, "corpus": {}}',
