@@ -3,7 +3,11 @@
 Everything is built on numpy arrays. A Tensor wraps one array together with
 an optional gradient buffer and the closure that pushes gradients to its
 parents. Calling backward() on a scalar loss builds a ComputationTape (the
-topological order of the graph) and walks it once in reverse.
+topological order of the graph) and walks it once in reverse, releasing the
+graph as it goes: once a node's closure has run, the node drops its
+gradient, its closure and its parents, and the tape drops the node. So each
+activation, and every array a closure saved, is freed as soon as the last
+closure that reads it has run, and a consumed graph cannot be walked again.
 
 Design notes:
   - float32 is the working precision: tensor() stores float input, and
@@ -12,6 +16,9 @@ Design notes:
   - a Python scalar operand of add/sub/mul/div is weak, as in numpy's own
     NEP 50 rule: it takes the dtype of the tensor it meets. A float32 model
     therefore stays float32 end to end, and float64 tensors stay float64.
+  - linear() (x @ w + b) and affine_norm() (layer_norm(x) * gamma + beta)
+    are fused nodes: each runs the numpy calls of its composed op chain in
+    the same order, forward and backward, so its bits are that chain's.
   - attention() is one fused op for softmax(scale * q @ k^T + bias) @ v
     over packed sequences: q, k and v hold the (T, heads, dh) rows of
     several sequences end to end, and a list of runs of equal-length
@@ -36,10 +43,10 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ComputationTape", "tensor", "no_grad",
-    "matmul", "add", "sub", "mul", "neg", "div",
+    "matmul", "linear", "add", "sub", "mul", "neg", "div",
     "transpose", "reshape", "concat", "stack", "narrow", "index_select", "pick",
-    "softmax", "log_softmax", "layer_norm", "gelu", "tanh", "mean", "sum_",
-    "masked_fill", "attention", "run_mean", "cross_entropy", "l2_normalize",
+    "softmax", "log_softmax", "layer_norm", "affine_norm", "gelu", "tanh",
+    "mean", "sum_", "masked_fill", "attention", "run_mean", "cross_entropy", "l2_normalize",
     "backward",
 ]
 
@@ -109,6 +116,8 @@ class ComputationTape:
 
     @classmethod
     def build(cls, root: Tensor) -> "ComputationTape":
+        """Raises ValueError if the graph reaches a node that an earlier
+        backward consumed."""
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -119,6 +128,8 @@ class ComputationTape:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _consumed:
+                raise ValueError(_CONSUMED)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -170,6 +181,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+_CONSUMED = "this graph was consumed by an earlier backward; run the forward again"
+
+
+def _consumed(node: Tensor) -> None:
+    """The closure that backward leaves on each node it has walked."""
+    raise ValueError(_CONSUMED)
 
 
 def _make(data: np.ndarray, parents: tuple, bw: Callable | None) -> Tensor:
@@ -269,18 +288,43 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
-    """GELU with the tanh approximation."""
+    """GELU with the tanh approximation, 0.5 * x * (1 + tanh(inner)).
+
+    Forward and backward work in a few reused buffers. Each element still
+    goes through the operations of the plain expressions in the comments,
+    at most with the operands of a sum or a product swapped, so the bits
+    are theirs.
+    """
     a = _ensure(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    y = 0.5 * x * (1.0 + t)
+    t = x * x                   # inner = _GELU_C * (x + 0.044715 * (x * x * x))
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0                 # y = 0.5 * x * (1.0 + t)
+    y *= 0.5 * x
 
     def bw(out):
         if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            _accumulate(a, out.grad * grad)
+            # dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+            # grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+            grad = t * t
+            np.subtract(1.0, grad, out=grad)
+            part = x * 0.5
+            grad *= part
+            np.multiply(x, x, out=part)         # dinner
+            part *= 3 * 0.044715
+            part += 1.0
+            part *= _GELU_C
+            grad *= part
+            np.add(t, 1.0, out=part)            # 0.5 * (1.0 + t)
+            part *= 0.5
+            grad += part
+            del part
+            grad *= out.grad
+            _accumulate(a, grad)
 
     return _make(y, (a,), bw)
 
@@ -288,23 +332,54 @@ def gelu(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 
-def matmul(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul requires ndim >= 2, got {a.ndim} and {b.ndim}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+
+
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Push the gradient g of a @ b to a, then to b."""
+    if a.requires_grad:
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        _accumulate(a, _unbroadcast(ga, a.data.shape))
+    if b.requires_grad:
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        _accumulate(b, _unbroadcast(gb, b.data.shape))
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _ensure(a), _ensure(b)
+    _check_matmul(a, b)
 
     def bw(out):
-        if a.requires_grad:
-            ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
+        _matmul_grads(a, b, out.grad)
 
-    return _make(out_data, (a, b), bw)
+    return _make(np.matmul(a.data, b.data), (a, b), bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node: add(matmul(x, w), b) bit for bit, forward and
+    backward, without keeping the product as a node of its own.
+
+    The backward takes the composed chain's steps: b gets its
+    broadcast-reduced gradient, the product's gradient is first written as
+    _accumulate writes it (adding 0), then x and w get theirs from it.
+    """
+    x, w, b = _ensure(x), _ensure(w), _ensure(b)
+    _check_matmul(x, w)
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
+
+    def bw(out):
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+        if x.requires_grad or w.requires_grad:
+            g = np.add(out.grad, 0, dtype=out.data.dtype, order="C")
+            _matmul_grads(x, w, g)
+
+    return _make(out_data, (x, w, b), bw)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -495,25 +570,78 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 _LAYER_NORM_EPS = 1e-12
 
 
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, inv) with y = (x - mu) * inv and inv = 1 / sqrt(var + eps) over
+    the last axis.
+
+    x - mu is formed once: it becomes y in place, and the variance is
+    summed from its squares and divided by the count as np.var does, so the
+    bits are those of x.var().
+    """
+    if x.shape[-1] == 0:
+        raise ValueError("layer_norm over a zero-length axis")
+    y = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(y).sum(axis=-1, keepdims=True)
+    np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
+    y *= inv
+    return y, inv
+
+
+def _normalize_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """inv * (g - mean(g) - y * mean(g * y)) over the last axis, the input
+    gradient of _normalize for an output gradient g; out may be g."""
+    gm = g.mean(axis=-1, keepdims=True)
+    gy = (g * y).mean(axis=-1, keepdims=True)
+    out = np.subtract(g, gm, out=out)
+    out -= y * gy
+    out *= inv
+    return out
+
+
 def layer_norm(a) -> Tensor:
     """Pure normalization of the last axis to zero mean, unit variance;
     affine is external."""
     a = _ensure(a)
-    if a.data.shape[-1] == 0:
-        raise ValueError("layer_norm over a zero-length axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
-    y = (a.data - mu) * inv
+    y, inv = _normalize(a.data)
 
     def bw(out):
         if a.requires_grad:
-            g = out.grad
-            gm = g.mean(axis=-1, keepdims=True)
-            gy = (g * y).mean(axis=-1, keepdims=True)
-            _accumulate(a, inv * (g - gm - y * gy))
+            _accumulate(a, _normalize_grad(out.grad, y, inv))
 
     return _make(y, (a,), bw)
+
+
+def affine_norm(a, gamma, beta) -> Tensor:
+    """layer_norm(a) * gamma + beta as one node: the composed
+    add(mul(layer_norm(a), gamma), beta) bit for bit, forward and backward.
+
+    Only the normalized rows and inv are kept, not the two intermediate
+    nodes. The backward takes the chain's steps in its order: beta's
+    reduced gradient, the two intermediate gradients each first written as
+    _accumulate writes them (adding 0), gamma's reduced gradient, then a's.
+    """
+    a, gamma, beta = _ensure(a), _ensure(gamma), _ensure(beta)
+    y, inv = _normalize(a.data)
+    out_data = y * gamma.data
+    out_data += beta.data
+
+    def bw(out):
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(out.grad, beta.data.shape))
+        if not (a.requires_grad or gamma.requires_grad):
+            return
+        g = np.add(out.grad, 0, dtype=out.data.dtype, order="C")
+        if a.requires_grad:
+            gn = g * gamma.data             # the normalized rows' gradient
+            np.add(gn, 0, out=gn)
+        if gamma.requires_grad:
+            _accumulate(gamma, _unbroadcast(g * y, gamma.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _normalize_grad(gn, y, inv, out=gn))
+
+    return _make(out_data, (a, gamma, beta), bw)
 
 
 def _run_rows(runs: Sequence[tuple[int, int]],
@@ -695,11 +823,15 @@ def cross_entropy(logits, targets) -> Tensor:
 # backward
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor below a scalar loss.
+    """Populate grads of every requires_grad tensor below a scalar loss, and
+    consume the graph.
 
     Only leaves (tensors without a backward closure, such as parameters)
-    keep their grads: an interior node's grad is dropped as soon as its
-    closure has pushed it to the node's parents.
+    keep their grads. The walk pops each node off the tape; once its closure
+    has pushed its grad to its parents, the node drops its grad, closure and
+    parents. An activation, and what a closure saved, is then freed as soon
+    as the last closure reading it has run, and not when the walk ends. A
+    later backward that reaches a consumed node raises ValueError.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -707,10 +839,15 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    tape = ComputationTape.build(loss)
+    nodes = ComputationTape.build(loss).nodes
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node)
+    while nodes:
+        node = nodes.pop()
+        fn = node._backward_fn
+        if fn is None:
+            continue
+        node._backward_fn, node._parents = _consumed, ()
+        if node.grad is not None:
+            fn(node)
             node.grad = None
 

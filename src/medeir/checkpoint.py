@@ -254,7 +254,7 @@ def load_arrays(directory: Path) -> dict[str, np.ndarray]:
     if "version" not in manifest:
         raise ValueError(f"{path}: checkpoint manifest missing version field")
     if manifest["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {manifest['version']}")
+        raise ValueError(f"{path}: unsupported checkpoint version {manifest['version']}")
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise ValueError(f"{path}: 'tensors' must be a list, got {entries!r}")

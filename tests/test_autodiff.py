@@ -1,4 +1,5 @@
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -650,3 +651,194 @@ class TestFirstGradientWrite:
         for name in new:
             assert new[name].dtype == old[name].dtype, name
             assert new[name].tobytes() == old[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# fused position-wise ops and the in-place gelu and layer_norm
+
+def push(out, g):
+    """Walk the graph below a node of any shape from the upstream gradient g,
+    as backward walks it from a scalar loss, without consuming it."""
+    out.grad = g
+    for node in reversed(ad.ComputationTape.build(out).nodes):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node)
+
+
+def upstream(rng, shape, dtype):
+    """A gradient holding -0.0 entries, a row of -0.0 and +0.0 entries."""
+    g = rng.standard_normal(shape).astype(dtype)
+    g[rng.random(shape) < 0.2] = -0.0
+    g[rng.random(shape) < 0.1] = 0.0
+    g[0] = -0.0
+    return g
+
+
+def linear_chain(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def affine_norm_chain(a, gamma, beta):
+    return ad.add(ad.mul(ad.layer_norm(a), gamma), beta)
+
+
+# (rows, k, n): long-docs (hidden 128, FFN 512), short-pairs (hidden 32,
+# FFN 64) and odd shapes
+LINEAR_SHAPES = [(512, 128, 128), (512, 128, 512), (512, 512, 128),
+                 (64, 32, 32), (64, 32, 64), (64, 64, 32),
+                 (7, 5, 3), (1, 9, 13), (33, 17, 1)]
+NORM_SHAPES = [(512, 128), (64, 32), (7, 5), (1, 3), (5, 1)]
+
+
+def _fused_and_chain(fused, chain, shapes, dtype, preset, seed):
+    """Forward bits and every input's gradient bits of fused and chain on
+    the same inputs and upstream gradient. With preset, each input starts
+    with a -0.0 gradient, so a -0.0 that reaches it keeps its sign."""
+    results = []
+    for op in (fused, chain):
+        rng = np.random.default_rng(seed)
+        inputs = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                  for shape in shapes]
+        out = op(*inputs)
+        if preset:
+            for t in inputs:
+                t.grad = np.full(t.shape, -0.0, dtype=dtype)
+        push(out, upstream(rng, out.shape, dtype))
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+    return results
+
+
+@pytest.mark.parametrize("preset", [False, True], ids=["first-write", "preset"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows,k,n", LINEAR_SHAPES)
+def test_linear_is_bitwise_its_composed_chain(rows, k, n, dtype, preset):
+    fused, chain = _fused_and_chain(ad.linear, linear_chain, [(rows, k), (k, n), (n,)],
+                                    dtype, preset, seed=rows * k + n)
+    for name, a, b in zip(("out", "x", "w", "b"), fused, chain):
+        assert a == b, name
+
+
+@pytest.mark.parametrize("preset", [False, True], ids=["first-write", "preset"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows,d", NORM_SHAPES)
+def test_affine_norm_is_bitwise_its_composed_chain(rows, d, dtype, preset):
+    fused, chain = _fused_and_chain(ad.affine_norm, affine_norm_chain,
+                                    [(rows, d), (d,), (d,)], dtype, preset,
+                                    seed=rows * d)
+    for name, a, b in zip(("out", "a", "gamma", "beta"), fused, chain):
+        assert a == b, name
+
+
+def plain_layer_norm(x, g):
+    """layer_norm's forward and input gradient as plain numpy expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad._LAYER_NORM_EPS)
+    y = (x - mu) * inv
+    gm = g.mean(axis=-1, keepdims=True)
+    gy = (g * y).mean(axis=-1, keepdims=True)
+    return y, inv * (g - gm - y * gy)
+
+
+def plain_gelu(x, g):
+    """gelu's forward and input gradient as plain numpy expressions."""
+    c = ad._GELU_C
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    y = 0.5 * x * (1.0 + t)
+    dinner = c * (1.0 + 3 * 0.044715 * (x * x))
+    return y, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op,plain", [(ad.layer_norm, plain_layer_norm),
+                                      (ad.gelu, plain_gelu)], ids=["layer_norm", "gelu"])
+@pytest.mark.parametrize("shape", [(512, 512), (512, 128), (64, 64), (64, 32),
+                                   (7, 5), (1, 3), (5, 1)])
+def test_in_place_op_is_bitwise_its_plain_expressions(op, plain, shape, dtype):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    x = Tensor((3 * rng.standard_normal(shape)).astype(dtype), requires_grad=True)
+    g = upstream(rng, shape, dtype)
+    y, dx = plain(x.data, g)
+    out = op(x)
+    push(out, g)
+    assert out.data.tobytes() == y.tobytes()
+    assert x.grad.tobytes() == np.add(dx, 0).tobytes()
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "b"])
+def test_linear_grad_check(which):
+    rng = np.random.default_rng(40)
+    inputs = [rand64(rng, 4, 3), rand64(rng, 3, 5), rand64(rng, 5)]
+    c = rng.standard_normal((4, 5))
+
+    def f(t):
+        args = inputs[:which] + [t] + inputs[which + 1:]
+        return ad.sum_(ad.mul(ad.tanh(ad.linear(*args)), c))
+
+    assert grad_check(f, inputs[which]) < 1e-6
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["a", "gamma", "beta"])
+def test_affine_norm_grad_check(which):
+    rng = np.random.default_rng(41)
+    inputs = [rand64(rng, 4, 6), rand64(rng, 6), rand64(rng, 6)]
+    c = rng.standard_normal((4, 6))
+
+    def f(t):
+        args = inputs[:which] + [t] + inputs[which + 1:]
+        return ad.sum_(ad.mul(ad.tanh(ad.affine_norm(*args)), c))
+
+    assert grad_check(f, inputs[which]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# backward consumes the graph
+
+class TestGraphRelease:
+    def test_interior_activation_is_freed_before_backward_returns(self):
+        rng = np.random.default_rng(42)
+        x, w = rand64(rng, 4, 6), rand64(rng, 6, 6)
+        first = ad.mul(x, 2.0)            # its closure is the last to run
+        h = ad.gelu(ad.matmul(first, w))
+        activation = weakref.ref(h.data)
+        loss = ad.sum_(ad.mul(h, h))
+        del h
+        freed = []
+        closure = first._backward_fn
+
+        def spy(node):
+            freed.append(activation() is None)
+            closure(node)
+
+        first._backward_fn = spy
+        backward(loss)
+        assert freed == [True]
+        assert x.grad is not None and w.grad is not None
+
+    def test_walked_nodes_keep_no_closure_parents_or_grad(self):
+        rng = np.random.default_rng(43)
+        x = rand64(rng, 3, 4)
+        loss = ad.sum_(ad.gelu(ad.layer_norm(x)))
+        interior = [n for n in ad.ComputationTape.build(loss).nodes if n._parents]
+        backward(loss)
+        for node in interior:
+            assert node._parents == () and node.grad is None
+            assert node._backward_fn is ad._consumed
+
+    def test_second_backward_raises(self):
+        rng = np.random.default_rng(44)
+        x = rand64(rng, 3, 4)
+        loss = ad.sum_(ad.mul(ad.gelu(x), 3.0))
+        backward(loss)
+        grad = x.grad.copy()
+        with pytest.raises(ValueError, match="consumed"):
+            backward(loss)
+        assert np.array_equal(x.grad, grad)
+
+    def test_new_graph_over_a_consumed_node_raises(self):
+        rng = np.random.default_rng(45)
+        x = rand64(rng, 3, 4)
+        h = ad.gelu(x)
+        backward(ad.sum_(h))
+        with pytest.raises(ValueError, match="consumed"):
+            backward(ad.sum_(ad.mul(h, h)))

@@ -731,6 +731,13 @@ def edited_checkpoint(ws, tmp_path, **changes):
     return ckpt
 
 
+def _edit_json(path, edit):
+    """Rewrite the JSON object in path after edit(blob) changes it."""
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+
+
 class TestExitCodes:
     def test_checkpoint_config_with_unknown_key_exits_one(self, ws, tmp_path, capsys):
         ckpt = edited_checkpoint(ws, tmp_path, dropout=0.1)
@@ -762,6 +769,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "model format 1" in err and "model format 2" in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda c: _edit_json(c / "config.json", lambda b: b.pop("format_version")),
+         "config.json: model config missing format_version"),
+        (lambda c: (c / "vocab.txt").write_text((c / "vocab.txt").read_text() + "extra\n"),
+         "vocab.txt: does not match the hash recorded in config.json"),
+        (lambda c: _edit_json(c / "config.json", lambda b: b.update(ffn_dim=24)),
+         "manifest.json: shape mismatch for layers.0.w_ffn_in"),
+        (lambda c: _edit_json(c / "manifest.json", lambda b: b.update(version=99)),
+         "manifest.json: unsupported checkpoint version 99"),
+    ], ids=["no-format-version", "vocab-hash", "shape", "checkpoint-version"])
+    def test_bad_checkpoint_in_compare_exits_one_naming_its_directory(
+            self, ws, tmp_path, capsys, damage, message):
+        bad = tmp_path / "bad"
+        shutil.copytree(ws / "ckpt", bad)
+        damage(bad)
+        rc = dispatch(["eval", "compare", "--models", f"{ws / 'ckpt'},{bad}",
+                       "--datasets", str(ws / "dataset"),
+                       "--out", str(tmp_path / "cmp.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}/{message}" in err and "internal error" not in err
+        assert not (tmp_path / "cmp.json").exists()
 
     @pytest.mark.parametrize("stop", [lambda n: n // 2, lambda n: n - 8],
                              ids=["half", "last-8-bytes"])
