@@ -16,9 +16,14 @@ Design notes:
   - a Python scalar operand of add/sub/mul/div is weak, as in numpy's own
     NEP 50 rule: it takes the dtype of the tensor it meets. A float32 model
     therefore stays float32 end to end, and float64 tensors stay float64.
+  - neg, sub, pick and narrow have no backward of their own: they are
+    written with mul, add, reshape, transpose and index_select, whose
+    closures give the same bits as a hand-written one would.
   - linear() (x @ w + b) and affine_norm() (layer_norm(x) * gamma + beta)
     are fused nodes: each runs the numpy calls of its composed op chain in
     the same order, forward and backward, so its bits are that chain's.
+    They read their upstream gradient as it is, since every .grad already
+    has the form _accumulate would give it (see there).
   - attention() is one fused op for softmax(scale * q @ k^T + bias) @ v
     over packed sequences: q, k and v hold the (T, heads, dh) rows of
     several sequences end to end, and a list of runs of equal-length
@@ -161,6 +166,14 @@ def _track(*tensors: Tensor) -> bool:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad, writing it on the first call.
+
+    The first write is a C-order copy of g in t's dtype with -0.0 turned
+    into +0.0; later ones only add. index_select writes zeros and adds, and
+    backward writes ones. A float sum is -0.0 only when both terms are, so
+    every .grad an op reads is C-contiguous, in its node's dtype and holds
+    no -0.0: a closure may read out.grad as it is, with no copy.
+    """
     if t.grad is None:
         assert g.shape == t.data.shape, (g.shape, t.data.shape)
         # one pass; adding 0 turns a -0.0 gradient into +0.0, and a C-order
@@ -224,16 +237,9 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
+    """a + (-b), which IEEE arithmetic defines a - b to be."""
     a, b = _operands(a, b)
-    out_data = a.data - b.data
-
-    def bw(out):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
-
-    return _make(out_data, (a, b), bw)
+    return add(a, neg(b))
 
 
 def mul(a, b) -> Tensor:
@@ -250,13 +256,8 @@ def mul(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = _ensure(a)
-
-    def bw(out):
-        if a.requires_grad:
-            _accumulate(a, -out.grad)
-
-    return _make(-a.data, (a,), bw)
+    """a * -1, exactly -a."""
+    return mul(_ensure(a), -1.0)
 
 
 def div(a, b) -> Tensor:
@@ -364,8 +365,9 @@ def linear(x, w, b) -> Tensor:
     backward, without keeping the product as a node of its own.
 
     The backward takes the composed chain's steps: b gets its
-    broadcast-reduced gradient, the product's gradient is first written as
-    _accumulate writes it (adding 0), then x and w get theirs from it.
+    broadcast-reduced gradient, then x and w get theirs from the upstream
+    gradient, which is already what _accumulate would have written as the
+    product's gradient.
     """
     x, w, b = _ensure(x), _ensure(w), _ensure(b)
     _check_matmul(x, w)
@@ -375,9 +377,7 @@ def linear(x, w, b) -> Tensor:
     def bw(out):
         if b.requires_grad:
             _accumulate(b, _unbroadcast(out.grad, b.data.shape))
-        if x.requires_grad or w.requires_grad:
-            g = np.add(out.grad, 0, dtype=out.data.dtype, order="C")
-            _matmul_grads(x, w, g)
+        _matmul_grads(x, w, out.grad)
 
     return _make(out_data, (x, w, b), bw)
 
@@ -433,22 +433,19 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a, axis: int, start: int, end: int) -> Tensor:
-    """Contiguous slice [start:end) along one axis."""
+    """Contiguous slice [start:end) along one axis: index_select of those
+    rows, with the axis moved to the front and back for any other axis."""
     a = _ensure(a)
     if not (0 <= start <= end <= a.data.shape[axis]):
         raise ValueError(f"slice [{start}:{end}) out of range for axis {axis} "
                          f"of shape {a.shape}")
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, end)
-    idx = tuple(idx)
-
-    def bw(out):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[idx] = out.grad
-            _accumulate(a, g)
-
-    return _make(a.data[idx].copy(), (a,), bw)
+    rows = np.arange(start, end)
+    axis %= a.ndim
+    if axis == 0:
+        return index_select(a, rows)
+    order = (axis,) + tuple(i for i in range(a.ndim) if i != axis)
+    moved = index_select(transpose(a, order), rows)
+    return transpose(moved, tuple(np.argsort(order)))
 
 
 def index_select(a, indices) -> Tensor:
@@ -480,23 +477,19 @@ def index_select(a, indices) -> Tensor:
 
 
 def pick(a, indices) -> Tensor:
-    """Per-row column gather: a is (B, C), indices length B, result (B,)."""
+    """Per-row column gather: a is (B, C), indices length B, each in
+    [0, C), result (B,). An index_select of the flat a at row * C + index."""
     a = _ensure(a)
     if a.ndim != 2:
         raise ValueError(f"pick expects a 2-D tensor, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (a.data.shape[0],):
+    rows, cols = a.data.shape
+    if idx.shape != (rows,):
         raise ValueError(f"pick needs one index per row: {idx.shape} vs {a.shape}")
-    rows = np.arange(a.data.shape[0])
-    out_data = a.data[rows, idx]
-
-    def bw(out):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, (rows, idx), out.grad)
-            _accumulate(a, g)
-
-    return _make(out_data, (a,), bw)
+    if idx.size and not (0 <= idx.min() and idx.max() < cols):
+        raise ValueError(f"pick indices must lie in [0, {cols}), got "
+                         f"{idx.min()}..{idx.max()}")
+    return index_select(reshape(a, (rows * cols,)), np.arange(rows) * cols + idx)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +511,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     def bw(out):
         if a.requires_grad:
             g = out.grad.reshape(kept)
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+            _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(out_data, (a,), bw)
 
@@ -619,8 +612,9 @@ def affine_norm(a, gamma, beta) -> Tensor:
 
     Only the normalized rows and inv are kept, not the two intermediate
     nodes. The backward takes the chain's steps in its order: beta's
-    reduced gradient, the two intermediate gradients each first written as
-    _accumulate writes them (adding 0), gamma's reduced gradient, then a's.
+    reduced gradient, the normalized rows' gradient first written as
+    _accumulate writes it (adding 0), gamma's reduced gradient, then a's.
+    The sum's gradient is the upstream one as it is (see _accumulate).
     """
     a, gamma, beta = _ensure(a), _ensure(gamma), _ensure(beta)
     y, inv = _normalize(a.data)
@@ -630,9 +624,7 @@ def affine_norm(a, gamma, beta) -> Tensor:
     def bw(out):
         if beta.requires_grad:
             _accumulate(beta, _unbroadcast(out.grad, beta.data.shape))
-        if not (a.requires_grad or gamma.requires_grad):
-            return
-        g = np.add(out.grad, 0, dtype=out.data.dtype, order="C")
+        g = out.grad
         if a.requires_grad:
             gn = g * gamma.data             # the normalized rows' gradient
             np.add(gn, 0, out=gn)

@@ -4,6 +4,9 @@ A checkpoint is a directory:
     manifest.json   {"version": 1, "tensors": [{name, shape, dtype, offset}]}
     params.bin      concatenation of the tensors' bytes in manifest order
 
+Loading holds a checkpoint to that layout: each offset is the total size
+of the entries before it, and the last entry ends where params.bin does.
+
 Model-level saves add sidecar files (config.json, vocab.txt) on top; those
 live with the model code.
 
@@ -246,8 +249,10 @@ def save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> None:
 def load_arrays(directory: Path) -> dict[str, np.ndarray]:
     """The named arrays under directory. params.bin is read once into one
     writable buffer; each array is a view of it (on a little-endian host).
-    A manifest field that is missing or of the wrong type is a ValueError
-    naming manifest.json and the field."""
+    A manifest field that is missing or of the wrong type, or an entry that
+    does not start where the one before it ends, is a ValueError naming
+    manifest.json; a params.bin of another size than the manifest lays out
+    is one naming params.bin. So no two arrays share a byte."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_json_object(path)
@@ -263,9 +268,19 @@ def load_arrays(directory: Path) -> dict[str, np.ndarray]:
             value = entry.get(key) if isinstance(entry, dict) else None
             if not valid(value):
                 raise ValueError(f"{path}: tensor {key!r} must be {what}, got {value!r}")
-    with open(directory / "params.bin", "rb") as fh:
+    end = 0
+    for entry in entries:
+        if entry["offset"] != end:
+            raise ValueError(f"{path}: tensor {entry['name']!r} starts at byte "
+                             f"{entry['offset']}, not at {end} where the one before it ends")
+        end += math.prod(entry["shape"]) * np.dtype(_DTYPES[entry["dtype"]]).itemsize
+    bin_path = directory / "params.bin"
+    with open(bin_path, "rb") as fh:
         blob = bytearray(os.fstat(fh.fileno()).st_size)
         del blob[fh.readinto(blob):]  # in case the file shrank meanwhile
+    if len(blob) != end:
+        raise ValueError(f"{bin_path}: holds {len(blob)} bytes, but the manifest "
+                         f"lays out {end}")
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
         dtype = np.dtype(_DTYPES[entry["dtype"]])

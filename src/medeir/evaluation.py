@@ -407,11 +407,17 @@ def load_dataset(directory: Path, cache_dir: Path | None = None) -> RetrievalDat
     return dataset
 
 
-def _grade(row: dict) -> tuple[str, str, int]:
+def _grade(queries: dict, corpus: dict, row: dict) -> tuple[str, str, int]:
+    """A qrels row's query id, doc id and grade; both ids must be known."""
     rel = row.get("rel")
     if type(rel) is not int or rel < 0:  # a bool is not a grade
         raise ValueError(f"'rel' must be an integer >= 0, got {rel!r}")
-    return id_field(row, "qid"), id_field(row, "did"), rel
+    qid, did = id_field(row, "qid"), id_field(row, "did")
+    if qid not in queries:
+        raise ValueError(f"qrels references unknown query {qid!r}")
+    if did not in corpus:
+        raise ValueError(f"qrels references unknown doc {did!r}")
+    return qid, did, rel
 
 
 def _parse_dataset(paths: Sequence[Path], blobs: Sequence[bytes]) -> tuple[dict, dict, dict]:
@@ -419,7 +425,8 @@ def _parse_dataset(paths: Sequence[Path], blobs: Sequence[bytes]) -> tuple[dict,
     queries = dict(numbered_jsonl(paths[0], functools.partial(id_text, seen=set()), blobs[0]))
     corpus = dict(numbered_jsonl(paths[1], functools.partial(id_text, seen=set()), blobs[1]))
     qrels: dict[str, dict[str, int]] = {}
-    for qid, did, rel in numbered_jsonl(paths[2], _grade, blobs[2]):
+    grade = functools.partial(_grade, queries, corpus)
+    for qid, did, rel in numbered_jsonl(paths[2], grade, blobs[2]):
         qrels.setdefault(qid, {})[did] = rel
     return queries, corpus, qrels
 

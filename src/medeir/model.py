@@ -65,14 +65,7 @@ def _default_cutoffs(vocab_size: int) -> tuple[int, ...]:
     """Head = the first ~20% of token ranks, two tails splitting the rest."""
     c0 = max(1, round(0.2 * vocab_size))
     c1 = max(c0 + 1, round(0.6 * vocab_size))
-    cuts = [c0, c1, vocab_size]
-    ascending = []
-    for c in cuts:
-        if c >= vocab_size:
-            break
-        if not ascending or c > ascending[-1]:
-            ascending.append(c)
-    return tuple(ascending + [vocab_size])
+    return tuple(c for c in (c0, c1) if c < vocab_size) + (vocab_size,)
 
 
 @dataclass(frozen=True)
@@ -614,9 +607,11 @@ def load_model(directory: Path) -> tuple[EncoderModel, Vocabulary]:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{directory} is a model format {version} checkpoint; "
                          f"this medeir reads only model format {MODEL_FORMAT_VERSION}")
-    stored_hash = blob.pop("vocab_sha256", None)
+    if "vocab_sha256" not in blob:
+        raise ValueError(f"{config_path}: model config missing vocab_sha256")
+    stored_hash = blob.pop("vocab_sha256")
     vocab_path = directory / "vocab.txt"
-    if stored_hash is not None and file_hash(vocab_path) != stored_hash:
+    if file_hash(vocab_path) != stored_hash:
         raise ValueError(f"{vocab_path}: does not match the hash recorded in config.json")
     vocab = Vocabulary.load(vocab_path)
     config = ModelConfig.from_dict(blob)

@@ -792,6 +792,166 @@ def test_affine_norm_grad_check(which):
 
 
 # ---------------------------------------------------------------------------
+# neg, sub, pick and narrow as compositions: the closures they replaced
+
+def closure_neg(a):
+    def bw(out):
+        if a.requires_grad:
+            ad._accumulate(a, -out.grad)
+
+    return ad._make(-a.data, (a,), bw)
+
+
+def closure_sub(a, b):
+    a, b = ad._operands(a, b)
+
+    def bw(out):
+        if a.requires_grad:
+            ad._accumulate(a, ad._unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            ad._accumulate(b, ad._unbroadcast(-out.grad, b.data.shape))
+
+    return ad._make(a.data - b.data, (a, b), bw)
+
+
+def closure_pick(a, indices):
+    idx = np.asarray(indices, dtype=np.int64)
+    rows = np.arange(a.data.shape[0])
+
+    def bw(out):
+        if a.requires_grad:
+            g = np.zeros_like(a.data)
+            np.add.at(g, (rows, idx), out.grad)
+            ad._accumulate(a, g)
+
+    return ad._make(a.data[rows, idx], (a,), bw)
+
+
+def closure_narrow(a, axis, start, end):
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, end)
+    idx = tuple(idx)
+
+    def bw(out):
+        if a.requires_grad:
+            g = np.zeros_like(a.data)
+            g[idx] = out.grad
+            ad._accumulate(a, g)
+
+    return ad._make(a.data[idx].copy(), (a,), bw)
+
+
+def _composed_and_closure(composed, closure, shapes, dtype, preset, seed):
+    """Forward bits and every input's gradient bits of both ops on the same
+    inputs and upstream gradient. With preset, each input starts with a
+    nonzero gradient, so the second write's += path runs."""
+    results = []
+    for op in (composed, closure):
+        rng = np.random.default_rng(seed)
+        inputs = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                  for shape in shapes]
+        out = op(*inputs)
+        if preset:
+            for t in inputs:
+                t.grad = rng.standard_normal(t.shape).astype(dtype)
+        if out.ndim and out.size:
+            push(out, upstream(rng, out.shape, dtype))
+        else:   # a scalar loss, or a pick of no rows
+            push(out, np.asarray(rng.standard_normal(out.shape), dtype=dtype))
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+    return results
+
+
+def _check_bits(composed, closure, shapes, dtype, preset, seed):
+    got, want = _composed_and_closure(composed, closure, shapes, dtype, preset, seed)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, "out" if i == 0 else f"input {i - 1}"
+
+
+PRESET = pytest.mark.parametrize("preset", [False, True], ids=["first-write", "preset"])
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+@PRESET
+@DTYPES
+@pytest.mark.parametrize("shape", [(), (3, 4), (5,), (2, 3, 4)])
+def test_neg_is_bitwise_its_old_closure(shape, dtype, preset):
+    _check_bits(ad.neg, closure_neg, [shape], dtype, preset, seed=len(shape))
+
+
+# (a, b): a scalar loss, same shapes, broadcast b, broadcast a
+SUB_SHAPES = [((), ()), ((3, 4), (3, 4)), ((3, 4), (4,)), ((2, 3, 4), (3, 1)),
+              ((4,), (2, 3, 4)), ((16, 16), (16, 1))]
+
+
+@PRESET
+@DTYPES
+@pytest.mark.parametrize("a_shape,b_shape", SUB_SHAPES)
+def test_sub_is_bitwise_its_old_closure(a_shape, b_shape, dtype, preset):
+    _check_bits(ad.sub, closure_sub, [a_shape, b_shape], dtype, preset,
+                seed=len(a_shape) * 7 + len(b_shape))
+
+
+@PRESET
+@DTYPES
+@pytest.mark.parametrize("scalar_first", [False, True], ids=["t-c", "c-t"])
+def test_sub_with_a_python_scalar_is_bitwise_its_old_closure(scalar_first, dtype,
+                                                              preset):
+    def bind(op):
+        return (lambda t: op(0.3, t)) if scalar_first else (lambda t: op(t, 0.3))
+
+    _check_bits(bind(ad.sub), bind(closure_sub), [(3, 4)], dtype, preset, seed=8)
+
+
+# (rows, columns): long-docs MLM head and tails (29,557-token vocabulary),
+# short-pairs head and tails (400 tokens), contrastive and hard-negative
+# logits, a tail no target hits, and odd shapes
+PICK_SHAPES = [(77, 5913), (20, 11823), (38, 82), (12, 160), (16, 16), (8, 32),
+               (0, 160), (1, 1), (5, 3)]
+
+
+@PRESET
+@DTYPES
+@pytest.mark.parametrize("rows,cols", PICK_SHAPES)
+def test_pick_is_bitwise_its_old_closure(rows, cols, dtype, preset):
+    idx = np.random.default_rng(rows + cols).integers(0, cols, size=rows)
+    _check_bits(lambda a: ad.pick(a, idx), lambda a: closure_pick(a, idx),
+                [(rows, cols)], dtype, preset, seed=rows * cols)
+
+
+# (shape, axis, start, end): the encoder's dropped top-up rows at both
+# workloads' widths, criterion 03's axis 1, a middle axis, a negative axis,
+# an empty and a whole slice
+NARROW_CASES = [((3, 128), 0, 0, 1), ((66, 32), 0, 0, 64), ((3, 4), 1, 1, 3),
+                ((2, 5, 3), 1, 2, 5), ((4, 6), -1, 0, 2), ((4, 6), 0, 2, 2),
+                ((4, 6), 1, 0, 6)]
+
+
+@PRESET
+@DTYPES
+@pytest.mark.parametrize("shape,axis,start,end", NARROW_CASES)
+def test_narrow_is_bitwise_its_old_closure(shape, axis, start, end, dtype, preset):
+    _check_bits(lambda a: ad.narrow(a, axis, start, end),
+                lambda a: closure_narrow(a, axis, start, end),
+                [shape], dtype, preset, seed=sum(shape) + start)
+
+
+@pytest.mark.parametrize("idx", [[0, 4, 1], [0, -1, 1]], ids=["past-end", "negative"])
+def test_pick_column_out_of_range_rejected(idx):
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        ad.pick(t64(np.ones((3, 4))), idx)
+
+
+@pytest.mark.parametrize("op", [ad.neg, ad.pick, ad.narrow, ad.sub])
+def test_composed_op_has_no_backward_of_its_own(op):
+    x = t64(np.ones((3, 4)))
+    args = {ad.neg: (x,), ad.pick: (x, [0, 1, 2]), ad.narrow: (x, 1, 0, 2),
+            ad.sub: (x, x)}[op]
+    closure = op(*args)._backward_fn
+    assert closure.__qualname__.split(".")[0] != op.__name__
+
+
+# ---------------------------------------------------------------------------
 # backward consumes the graph
 
 class TestGraphRelease:

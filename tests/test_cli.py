@@ -803,7 +803,45 @@ class TestExitCodes:
         with pytest.raises(ValueError):
             load_arrays(ckpt)
         assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
-        assert "internal error" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'params.bin'}: holds {stop(len(blob))} bytes" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("damage, named", [
+        ("overlap", "manifest.json"), ("gap", "manifest.json"),
+        ("trailing-bytes", "params.bin")])
+    def test_params_bin_off_the_manifest_layout_exits_one(self, ws, tmp_path, capsys,
+                                                          damage, named):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws / "ckpt", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entries = manifest["tensors"]
+        blob = (ckpt / "params.bin").read_bytes()
+        if damage == "overlap":     # the third tensor would alias the second's bytes
+            entries[2]["offset"] = entries[1]["offset"]
+        elif damage == "gap":       # 4 stray bytes before the third, later offsets moved
+            cut = entries[2]["offset"]
+            blob = blob[:cut] + bytes(4) + blob[cut:]
+            for entry in entries[2:]:
+                entry["offset"] += 4
+        else:
+            blob += bytes(4)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        (ckpt / "params.bin").write_bytes(blob)
+        with pytest.raises(ValueError, match=re.escape(f"{ckpt / named}: ")):
+            load_arrays(ckpt)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt / named}: " in err and "internal error" not in err
+
+    def test_config_without_vocab_hash_exits_one_naming_it(self, ws, tmp_path, capsys):
+        ckpt = edited_checkpoint(ws, tmp_path)
+        _edit_json(ckpt / "config.json", lambda b: b.pop("vocab_sha256"))
+        (ckpt / "vocab.txt").write_text((ckpt / "vocab.txt").read_text() + "extra\n")
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'config.json'}: model config missing vocab_sha256" in err
+        assert "internal error" not in err
 
     @pytest.mark.parametrize("edit, field", [
         (lambda m: m.pop("tensors"), "'tensors'"),

@@ -331,6 +331,17 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: duplicate id 'd1'")):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("row, message", [
+        ({"qid": "qX", "did": "d1", "rel": 1}, "qrels references unknown query 'qX'"),
+        ({"qid": "q1", "did": "dX", "rel": 1}, "qrels references unknown doc 'dX'"),
+    ], ids=["query", "doc"])
+    def test_unknown_qrels_id_names_file_and_line(self, tmp_path, row, message):
+        save_dataset(tmp_path / "ds", make_dataset())
+        path = tmp_path / "ds" / "qrels.jsonl"
+        path.write_text(path.read_text() + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            load_dataset(tmp_path / "ds")
+
     @pytest.mark.parametrize("content, message", [
         ("{}", "'name' must be a string, got None"),
         ('{"name": 7}', "'name' must be a string, got 7"),

@@ -573,13 +573,14 @@ class TestTargetLossGradients:
         loss = mlm_loss(m, [ids], [positions], [ids])
         computed = [node for node in ad.ComputationTape.build(loss).nodes if node._parents]
         # the scan covers the whole graph: the 27-node one-layer forward, the
-        # masked-row pick and pre-norm, the head, both tails and the loss
+        # masked-row pick and pre-norm, the head, both tails and the loss;
+        # each pick is a flat reshape and an index_select, the negation a mul
         kinds = Counter(node._backward_fn.__qualname__.split(".")[0] for node in computed)
-        assert kinds == {"index_select": 5, "reshape": 7, "matmul": 7, "mul": 3,
+        assert kinds == {"index_select": 8, "reshape": 10, "matmul": 7, "mul": 4,
                          "sum_": 3, "softmax": 1, "affine_norm": 4, "linear": 5,
                          "attention": 1, "add": 4, "gelu": 1, "log_softmax": 3,
-                         "pick": 3, "concat": 1, "neg": 1}
-        assert len(computed) == 49
+                         "concat": 1}
+        assert len(computed) == 52
         for node in computed:
             assert cfg.vocab_size not in node.shape, node
 

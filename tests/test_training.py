@@ -924,6 +924,40 @@ class TestRunStage:
         assert len(records) == 3
         assert all(math.isfinite(r["loss"]) for r in records)
 
+    @pytest.mark.parametrize("stage", ["mlm", "hard_negative"])
+    def test_every_gradient_a_closure_reads_has_the_first_write_form(self, stage,
+                                                                   monkeypatch):
+        # linear and affine_norm read out.grad with no copy: that is safe
+        # only while every .grad is C-contiguous, in its node's dtype and
+        # free of -0.0, as _accumulate's first write leaves it
+        model, tokenizer = tiny_setup()
+        if stage == "mlm":
+            data = mlm_sequences(tokenizer, n=6, seed=4)
+        else:   # ragged: zero, one and two negatives in one batch
+            counts = [2, 1, 0, 2, 0, 1]
+            data = [PairSource("s0", [(f"q{c} aa", f"p{c} bb",
+                                       [f"n{c} c{k}" for k in "de"[:n]])
+                                      for c, n in zip("abcdef", counts)])]
+        cfg = paper_stage(stage, total_steps=1, global_batch=6, grad_accum=1,
+                          max_len=32, seed=5)
+        make, seen = ad._make, []
+
+        def checked_make(out_data, parents, bw):
+            def checked(out):
+                g = out.grad
+                assert g.shape == out.data.shape and g.dtype == out.data.dtype
+                assert g.flags.c_contiguous
+                assert not (np.signbit(g) & (g == 0)).any()
+                seen.append(bw.__qualname__.split(".")[0])
+                bw(out)
+            return make(out_data, parents, checked)
+
+        monkeypatch.setattr(ad, "_make", checked_make)
+        run_stage(cfg, model, tokenizer, data)
+        assert {"linear", "affine_norm", "attention", "index_select", "mul", "sum_"} \
+            <= set(seen)
+        assert ("masked_fill" if stage == "hard_negative" else "log_softmax") in seen
+
     def test_hard_negative_batch_without_negatives_is_info_nce(self):
         pairs = [(f"q{c} aa", f"p{c} bb") for c in "abcd"]
 
