@@ -16,9 +16,9 @@ Design notes:
   - a Python scalar operand of add/sub/mul/div is weak, as in numpy's own
     NEP 50 rule: it takes the dtype of the tensor it meets. A float32 model
     therefore stays float32 end to end, and float64 tensors stay float64.
-  - neg, sub, pick and narrow have no backward of their own: they are
-    written with mul, add, reshape, transpose and index_select, whose
-    closures give the same bits as a hand-written one would.
+  - neg, sub, pick, narrow and mean have no backward of their own: they
+    are written with mul, add, div, reshape, transpose, index_select and
+    sum_, whose closures give the same bits as a hand-written one would.
   - linear() (x @ w + b) and affine_norm() (layer_norm(x) * gamma + beta)
     are fused nodes: each runs the numpy calls of its composed op chain in
     the same order, forward and backward, so its bits are that chain's.
@@ -452,26 +452,24 @@ def index_select(a, indices) -> Tensor:
     """Select rows along axis 0, indices in [0, len(a)); gradients
     scatter-add back.
 
-    The backward sums each selected row's gradients in index order. The
-    first gradient a receives is that sum scattered into zeros; a later one
-    sums into a buffer holding only the distinct rows, then adds that into
-    those rows of a.grad. No array the size of a is built beyond a.grad.
+    The backward sums each selected row's gradients, in index order, into
+    a zero buffer holding only the distinct rows, then adds that buffer
+    into those rows of a.grad, which the first write creates as zeros. No
+    array the size of a is built beyond a.grad. A sum that starts at +0.0
+    is never -0.0, so adding it to a zero row writes it unchanged.
     """
     a = _ensure(a)
     idx = np.asarray(indices, dtype=np.int64)
     out_data = np.take(a.data, idx, axis=0)
 
     def bw(out):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, out.grad)
-            return
-        rows, inverse = np.unique(idx, return_inverse=True)
-        g = np.zeros((rows.size,) + a.data.shape[1:], dtype=a.data.dtype)
-        np.add.at(g, inverse.reshape(idx.shape), out.grad)
-        a.grad[rows] += g
+        if a.requires_grad:
+            rows, inverse = np.unique(idx, return_inverse=True)
+            g = np.zeros((rows.size,) + a.data.shape[1:], dtype=a.data.dtype)
+            np.add.at(g, inverse.reshape(idx.shape), out.grad)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[rows] += g
 
     return _make(out_data, (a,), bw)
 
@@ -517,18 +515,14 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """sum_ over the count of summed elements. np.mean divides the same sum
+    by the count in float64 and rounds back, which for a float32 sum is the
+    correctly rounded quotient that div gives, so the bits are np.mean's."""
     a = _ensure(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
     kept = _keepdims_shape(a.data.shape, axis)
     # the reduced axes are those kept at 1; an axis of size 1 counts 1 either way
     count = math.prod(n for n, k in zip(a.data.shape, kept) if n != k)
-
-    def bw(out):
-        if a.requires_grad:
-            g = out.grad.reshape(kept)
-            _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
-
-    return _make(out_data, (a,), bw)
+    return div(sum_(a, axis, keepdims), count)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

@@ -249,10 +249,11 @@ def save_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> None:
 def load_arrays(directory: Path) -> dict[str, np.ndarray]:
     """The named arrays under directory. params.bin is read once into one
     writable buffer; each array is a view of it (on a little-endian host).
-    A manifest field that is missing or of the wrong type, or an entry that
-    does not start where the one before it ends, is a ValueError naming
-    manifest.json; a params.bin of another size than the manifest lays out
-    is one naming params.bin. So no two arrays share a byte."""
+    A manifest field that is missing or of the wrong type, a name given to
+    two entries, or an entry that does not start where the one before it
+    ends, is a ValueError naming manifest.json; a params.bin of another
+    size than the manifest lays out is one naming params.bin. So no two
+    arrays share a byte, and no array is dropped for another of its name."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_json_object(path)
@@ -268,8 +269,11 @@ def load_arrays(directory: Path) -> dict[str, np.ndarray]:
             value = entry.get(key) if isinstance(entry, dict) else None
             if not valid(value):
                 raise ValueError(f"{path}: tensor {key!r} must be {what}, got {value!r}")
-    end = 0
+    end, names = 0, set()
     for entry in entries:
+        if entry["name"] in names:
+            raise ValueError(f"{path}: tensor {entry['name']!r} is named twice")
+        names.add(entry["name"])
         if entry["offset"] != end:
             raise ValueError(f"{path}: tensor {entry['name']!r} starts at byte "
                              f"{entry['offset']}, not at {end} where the one before it ends")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,9 +132,13 @@ def pack_chunks(docs: Sequence[CorpusDocument], tokenizer: TokenizerModel,
         if buffer:
             buffer.append(sep_id)
         buffer.extend(ids)
-        while len(buffer) >= chunk_len:
-            chunks.append(buffer[:chunk_len])
-            buffer = buffer[chunk_len:]
+        # cut at a read offset and drop the consumed prefix once per
+        # document, so a long document costs time linear in its length
+        start = 0
+        while len(buffer) - start >= chunk_len:
+            chunks.append(buffer[start:start + chunk_len])
+            start += chunk_len
+        del buffer[:start]
     if len(buffer) >= min_tail:
         chunks.append(buffer)
     return chunks
@@ -155,6 +160,8 @@ def filter_pairs_by_similarity(pairs: Sequence[SentencePair], embedder: Embedder
     """
     if (threshold is None) == (drop_fraction is None):
         raise ValueError("exactly one of threshold or drop_fraction is required")
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty pair list")
@@ -193,6 +200,8 @@ def mine_hard_negatives(pairs: Sequence[SentencePair],
     if per_query < 1:
         raise ValueError("per_query must be >= 1")
     lo, hi = band
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"similarity band must be finite, got {band}")
     if lo > hi:
         raise ValueError(f"empty similarity band {band}")
     texts = list(dict.fromkeys(corpus))

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -273,29 +273,12 @@ def dataset_scores(mut: ModelUnderTest, dataset: RetrievalDataset, k: int = 10,
 # ---------------------------------------------------------------------------
 # comparison reports
 
-@dataclass
-class EvalReport:
-    rows: list[dict] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for row in self.rows:
-            missing = {"dataset", "model", "metric", "value"} - set(row)
-            if missing:
-                raise ValueError(f"report row missing fields {sorted(missing)}")
-            if not 0.0 <= row["value"] <= 100.0:
-                raise ValueError(f"metric value {row['value']} outside [0, 100]")
-
-    def to_dict(self) -> dict:
-        return {"version": REPORT_VERSION, "rows": self.rows,
-                "metadata": self.metadata}
-
-
 def compare_models(models: Sequence[ModelUnderTest],
                    datasets: Sequence[RetrievalDataset], k: int = 10,
-                   cache_dir: Path | None = None) -> EvalReport:
-    """Mean-over-queries metrics for every (model, dataset) combination,
-    stable-sorted by (dataset, model)."""
+                   cache_dir: Path | None = None) -> dict:
+    """A report: {"version", "rows", "metadata"}, the rows holding the
+    mean-over-queries metrics of every (model, dataset) combination in
+    percent, stable-sorted by (dataset, model)."""
     if not models:
         raise ValueError("at least one model required")
     if not datasets:
@@ -326,17 +309,17 @@ def compare_models(models: Sequence[ModelUnderTest],
                              for m in models},
         "skipped_queries": skipped,
     }
-    return EvalReport(rows=rows, metadata=metadata)
+    return {"version": REPORT_VERSION, "rows": rows, "metadata": metadata}
 
 
-def render_table(report: EvalReport) -> str:
+def render_table(report: dict) -> str:
     """Aligned plain-text table, one line per (dataset, metric), one column
     per model; the best value on each line is starred. Every model has a
     value on every line, as compare_models gives."""
     models: list[str] = []
     cells: dict[tuple[str, str], dict[str, float]] = {}
     line_keys: list[tuple[str, str]] = []
-    for row in report.rows:
+    for row in report["rows"]:
         if row["model"] not in models:
             models.append(row["model"])
         key = (row["dataset"], row["metric"])
@@ -365,9 +348,8 @@ def render_table(report: EvalReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def save_report(path: Path, report: EvalReport) -> None:
-    atomic_write_text(Path(path), json.dumps(report.to_dict(), indent=2,
-                                             sort_keys=True) + "\n")
+def save_report(path: Path, report: dict) -> None:
+    atomic_write_text(Path(path), json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -81,17 +81,17 @@ class ModelConfig:
     adaptive_cutoffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
+        for name in ("vocab_size", "hidden", "layers", "heads", "ffn_dim",
+                     "num_projections", "max_train_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.num_projections < 1:
-            raise ValueError("num_projections must be >= 1")
         if self.max_infer_len < self.max_train_len:
             raise ValueError("max_infer_len must be >= max_train_len")
         cutoffs = tuple(self.adaptive_cutoffs) or _default_cutoffs(self.vocab_size)
-        if list(cutoffs) != sorted(set(cutoffs)):
-            raise ValueError(f"cutoffs must be strictly ascending: {cutoffs}")
+        if list(cutoffs) != sorted(set(cutoffs)) or cutoffs[0] < 1:
+            raise ValueError(f"cutoffs must be strictly ascending from >= 1: {cutoffs}")
         if cutoffs[-1] != self.vocab_size:
             raise ValueError(f"last cutoff {cutoffs[-1]} != vocab size {self.vocab_size}")
         object.__setattr__(self, "adaptive_cutoffs", cutoffs)
@@ -614,7 +614,10 @@ def load_model(directory: Path) -> tuple[EncoderModel, Vocabulary]:
     if file_hash(vocab_path) != stored_hash:
         raise ValueError(f"{vocab_path}: does not match the hash recorded in config.json")
     vocab = Vocabulary.load(vocab_path)
-    config = ModelConfig.from_dict(blob)
+    try:
+        config = ModelConfig.from_dict(blob)
+    except ValueError as err:
+        raise ValueError(f"{config_path}: {err}") from err
 
     arrays = load_arrays(directory)
     shapes = {name: shape for name, shape, _ in _param_specs(config)}

@@ -434,8 +434,9 @@ class StageConfig:
             raise ValueError(f"max_len must be >= 1, got {self.max_len!r}")
         if not 0.0 < self.mask_rate <= 1.0:
             raise ValueError(f"mask_rate must be in (0, 1], got {self.mask_rate!r}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, "
+                             f"got {self.temperature!r}")
 
     @property
     def micro_batch(self) -> int:

@@ -936,17 +936,159 @@ def test_narrow_is_bitwise_its_old_closure(shape, axis, start, end, dtype, prese
                 [shape], dtype, preset, seed=sum(shape) + start)
 
 
+# ---------------------------------------------------------------------------
+# index_select's one backward path and mean as sum_ over a count: the
+# closures they replaced
+
+def two_path_index_select(a, indices):
+    """index_select's backward before it had one path: the first write
+    scattered straight into zeros of a's shape, a later one went through a
+    buffer of the distinct rows."""
+    idx = np.asarray(indices, dtype=np.int64)
+
+    def bw(out):
+        if not a.requires_grad:
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, idx, out.grad)
+            return
+        rows, inverse = np.unique(idx, return_inverse=True)
+        g = np.zeros((rows.size,) + a.data.shape[1:], dtype=a.data.dtype)
+        np.add.at(g, inverse.reshape(idx.shape), out.grad)
+        a.grad[rows] += g
+
+    return ad._make(np.take(a.data, idx, axis=0), (a,), bw)
+
+
+def closure_mean(a, axis=None, keepdims=False):
+    kept = ad._keepdims_shape(a.data.shape, axis)
+    count = math.prod(n for n, k in zip(a.data.shape, kept) if n != k)
+
+    def bw(out):
+        if a.requires_grad:
+            g = out.grad.reshape(kept)
+            ad._accumulate(a, np.broadcast_to(g, a.data.shape) / count)
+
+    return ad._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
+
+
+def _gradient(rng, shape, dtype, kind):
+    """An upstream gradient: "mixed" holds -0.0 and +0.0 entries, "engine"
+    is that as .grad holds it (-0.0 made +0.0, see _accumulate), "zeros"
+    is all +0.0 and "-zeros" all -0.0."""
+    if kind == "zeros":
+        return np.zeros(shape, dtype=dtype)
+    if kind == "-zeros":
+        return np.full(shape, -0.0, dtype=dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    g[rng.random(shape) < 0.2] = -0.0
+    g[rng.random(shape) < 0.1] = 0.0
+    return np.add(g, 0, dtype=dtype) if kind == "engine" else g
+
+
+def _one_path_bits(new, old, shape, dtype, preset, kind, seed):
+    """Output and input-gradient bits of new and old on one input that
+    holds -0.0 entries. preset: "none" leaves a.grad unset for the first
+    write; "random" and "-0.0" preset it, so the later-write path runs."""
+    results = []
+    for op in (new, old):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape).astype(dtype)
+        x[rng.random(shape) < 0.2] = -0.0
+        a = Tensor(x, requires_grad=True)
+        out = op(a)
+        if preset == "random":
+            a.grad = rng.standard_normal(shape).astype(dtype)
+        elif preset == "-0.0":
+            a.grad = np.full(shape, -0.0, dtype=dtype)
+        push(out, _gradient(rng, out.shape, dtype, kind))
+        results.append((out.dtype, out.data.tobytes(), a.grad.tobytes()))
+    assert results[0][0] == results[1][0]
+    assert results[0][1] == results[1][1], "out"
+    assert results[0][2] == results[1][2], "grad"
+
+
+PRESETS = pytest.mark.parametrize("preset", ["none", "random", "-0.0"])
+
+# (rows, width, indices): repeated ids, a (B, S) block, each row once, an
+# empty selection and one row many times
+SELECT_CASES = [(10, 3, [3, 0, 3, 7, 3, 0, 9]), (10, 3, [[1, 4, 1, 1], [4, 4, 9, 0]]),
+                (6, 4, [5, 4, 3, 2, 1, 0]), (6, 4, []), (4, 2, [2] * 9)]
+
+
+@PRESETS
+@DTYPES
+@pytest.mark.parametrize("kind", ["mixed", "zeros", "-zeros"])
+@pytest.mark.parametrize("rows,width,indices", SELECT_CASES)
+def test_index_select_is_bitwise_its_two_path_closure(rows, width, indices, kind,
+                                                     dtype, preset):
+    _one_path_bits(lambda a: ad.index_select(a, indices),
+                   lambda a: two_path_index_select(a, indices),
+                   (rows, width), dtype, preset, kind, seed=rows + width)
+
+
+# (rows, width, ids): the float32 embedding-table lookups of short-pairs
+# (400-token vocabulary, hidden 32: an MLM batch of 4 x 64 tokens, 32
+# contrastive texts of 30) and long-docs (29,557 tokens, hidden 128: one
+# 512-token MLM chunk, 16 pairs of up to 128 tokens), a few ids frequent
+# and many rare
+TABLE_CASES = [(400, 32, 256), (400, 32, 960), (29557, 128, 512), (29557, 128, 4096)]
+
+
+@PRESETS
+@pytest.mark.parametrize("rows,width,ids", TABLE_CASES)
+def test_index_select_is_bitwise_its_two_path_closure_at_workload_shapes(
+        rows, width, ids, preset):
+    indices = np.random.default_rng(ids).zipf(1.3, size=ids) % rows
+    _one_path_bits(lambda a: ad.index_select(a, indices),
+                   lambda a: two_path_index_select(a, indices),
+                   (rows, width), np.float32, preset, "mixed", seed=rows + width)
+
+
+# (shape, axis): whole-tensor means, cross_entropy's means over the
+# per-row log-likelihoods of an MLM head and tails and of contrastive
+# logits, and int, negative and tuple axes
+MEAN_CASES = [((1,), None), ((5,), None), ((77,), None), ((20,), None), ((38,), None),
+              ((16,), 0), ((512, 128), None), ((3, 4), 0), ((3, 4), -1),
+              ((2, 3, 4), 1), ((2, 3, 4), (0, 1)), ((2, 3, 4), (0, 2)),
+              ((2, 1, 4), 1), ((4, 6), (-1, 0))]
+
+
+@PRESETS
+@DTYPES
+@pytest.mark.parametrize("kind", ["engine", "zeros"])
+@pytest.mark.parametrize("keepdims", [False, True], ids=["drop", "keep"])
+@pytest.mark.parametrize("shape,axis", MEAN_CASES)
+def test_mean_is_bitwise_its_old_closure(shape, axis, keepdims, kind, dtype, preset):
+    _one_path_bits(lambda a: ad.mean(a, axis, keepdims),
+                   lambda a: closure_mean(a, axis, keepdims),
+                   shape, dtype, preset, kind, seed=sum(shape) + len(shape))
+
+
+def test_mean_adds_a_negative_zero_gradient_as_positive_zero():
+    """Where the two can differ: div writes the sum's gradient as
+    _accumulate does, so a -0.0 upstream reaches a preset -0.0 gradient as
+    +0.0. No .grad the engine writes holds -0.0, so backward never gives
+    mean such an upstream gradient."""
+    a = t64([1.0, 2.0])
+    out = ad.mean(a)
+    a.grad = np.full(2, -0.0)
+    push(out, np.asarray(-0.0))
+    assert not np.signbit(a.grad).any()
+
+
 @pytest.mark.parametrize("idx", [[0, 4, 1], [0, -1, 1]], ids=["past-end", "negative"])
 def test_pick_column_out_of_range_rejected(idx):
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
         ad.pick(t64(np.ones((3, 4))), idx)
 
 
-@pytest.mark.parametrize("op", [ad.neg, ad.pick, ad.narrow, ad.sub])
+@pytest.mark.parametrize("op", [ad.neg, ad.pick, ad.narrow, ad.sub, ad.mean])
 def test_composed_op_has_no_backward_of_its_own(op):
     x = t64(np.ones((3, 4)))
     args = {ad.neg: (x,), ad.pick: (x, [0, 1, 2]), ad.narrow: (x, 1, 0, 2),
-            ad.sub: (x, x)}[op]
+            ad.sub: (x, x), ad.mean: (x, 0)}[op]
     closure = op(*args)._backward_fn
     assert closure.__qualname__.split(".")[0] != op.__name__
 

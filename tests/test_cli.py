@@ -151,6 +151,30 @@ class TestDataCommands:
         assert rc == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_filter_threshold_that_is_not_finite_exits_one(self, ws, tmp_path, capsys,
+                                                          value):
+        out = tmp_path / "kept.jsonl"
+        rc = dispatch(["data", "filter", "--in", str(ws / "pairs.jsonl"),
+                       "--model", str(ws / "ckpt"), "--out", str(out),
+                       f"--threshold={value}"])
+        assert rc == 1
+        assert f"threshold must be finite, got {float(value)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi", [("nan", "0.9"), ("nan", "nan"), ("0.3", "inf"),
+                                        ("-inf", "0.9")])
+    def test_mine_band_that_is_not_finite_exits_one(self, ws, tmp_path, capsys, lo, hi):
+        out = tmp_path / "hn.jsonl"
+        rc = dispatch(["data", "mine", "--in", str(ws / "pairs.jsonl"),
+                       "--corpus", str(ws / "corpus.jsonl"),
+                       "--model", str(ws / "ckpt"), "--out", str(out),
+                       f"--band-lo={lo}", f"--band-hi={hi}"])
+        assert rc == 1
+        band = (float(lo), float(hi))
+        assert f"similarity band must be finite, got {band}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mine_writes_records(self, ws, tmp_path):
         out = tmp_path / "hn.jsonl"
         rc = dispatch(["data", "mine", "--in", str(ws / "pairs.jsonl"),
@@ -364,6 +388,19 @@ class TestTrainCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{field} must be" in err and "checkpoint directory" not in err
+        assert not out.exists()
+
+    def test_temperature_that_overflows_to_infinity_exits_one(self, ws, tmp_path,
+                                                              capsys):
+        cfg = stage_config(tmp_path, "contrastive")
+        # Python's JSON reader turns a number too large for a float into inf
+        cfg.write_text(cfg.read_text()[:-1] + ', "temperature": 1e999}')
+        out = tmp_path / "x"
+        rc = dispatch(["train", "contrastive", "--config", str(cfg),
+                       "--data", str(ws / "pairs.jsonl"),
+                       "--init", str(ws / "ckpt"), "--out", str(out)])
+        assert rc == 1
+        assert "temperature must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -757,6 +794,16 @@ class TestExitCodes:
         assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
         assert f"invalid ModelConfig: {field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("heads, message", [
+        (0, "heads must be >= 1, got 0"), (3, "hidden 16 not divisible by heads 3")])
+    def test_bad_model_config_exits_one_naming_config_json(self, ws, tmp_path, capsys,
+                                                           heads, message):
+        ckpt = edited_checkpoint(ws, tmp_path, heads=heads)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'config.json'}: {message}" in err
+        assert "internal error" not in err
+
     def test_format_one_checkpoint_exits_one_naming_both_versions(
             self, ws, tmp_path, capsys):
         # a format-1 checkpoint: each layer's key bias and two more config keys
@@ -833,6 +880,25 @@ class TestExitCodes:
         assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
         err = capsys.readouterr().err
         assert f"{ckpt / named}: " in err and "internal error" not in err
+
+    def test_manifest_that_names_a_tensor_twice_exits_one(self, ws, tmp_path, capsys):
+        # a second embedding.table laid out after the last tensor, with its bytes
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws / "ckpt", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entries = manifest["tensors"]
+        table = next(e for e in entries if e["name"] == "embedding.table")
+        blob = (ckpt / "params.bin").read_bytes()
+        size = int(np.prod(table["shape"])) * 4
+        entries.append(table | {"offset": len(blob)})
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        (ckpt / "params.bin").write_bytes(blob + np.random.default_rng(0).bytes(size))
+        message = f"{ckpt / 'manifest.json'}: tensor 'embedding.table' is named twice"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_arrays(ckpt)
+        assert dispatch(["embed", "--model", str(ckpt), "--text", "alpha"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
 
     def test_config_without_vocab_hash_exits_one_naming_it(self, ws, tmp_path, capsys):
         ckpt = edited_checkpoint(ws, tmp_path)

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,6 +119,26 @@ class TestDedupCorpus:
         assert dedup_corpus([]) == []
 
 
+def reference_pack_chunks(docs, tokenizer, chunk_len, min_tail):
+    """pack_chunks as it was when it copied the rest of the buffer after
+    each chunk it cut: time quadratic in the length of one document."""
+    sep_id = tokenizer.vocab.id_of[SEP_TOKEN]
+    chunks, buffer = [], []
+    for doc in docs:
+        ids = tokenizer.encode(doc.text).ids
+        if not ids:
+            continue
+        if buffer:
+            buffer.append(sep_id)
+        buffer.extend(ids)
+        while len(buffer) >= chunk_len:
+            chunks.append(buffer[:chunk_len])
+            buffer = buffer[chunk_len:]
+    if len(buffer) >= min_tail:
+        chunks.append(buffer)
+    return chunks
+
+
 class TestPackChunks:
     def test_single_long_doc_remainder_dropped(self):
         tok = word_tokenizer("a")
@@ -173,6 +195,51 @@ class TestPackChunks:
         a = tok.vocab.id_of["a"]
         sep = tok.vocab.id_of[SEP_TOKEN]
         assert chunks == [[a, a, sep, a, a]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_documents_give_the_reference_chunks(self, seed):
+        rng = np.random.default_rng(seed)
+        tok = word_tokenizer("a", "b", "c")
+        chunk_len = int(rng.integers(1, 12))
+        min_tail = int(rng.integers(1, chunk_len + 1))
+        # lengths around the chunk length, empty documents and exact multiples
+        lengths = rng.choice([0, 1, chunk_len - 1, chunk_len, 2 * chunk_len,
+                              int(rng.integers(0, 5 * chunk_len))], size=40)
+        docs = [CorpusDocument(id=str(i), text=" ".join(rng.choice(["a", "b", "c"], n)))
+                for i, n in enumerate(lengths)]
+        assert pack_chunks(docs, tok, chunk_len, min_tail) == \
+            reference_pack_chunks(docs, tok, chunk_len, min_tail)
+
+    def test_one_document_many_chunks_long_gives_the_reference_chunks(self):
+        rng = np.random.default_rng(9)
+        tok = word_tokenizer("a", "b", "c")
+        docs = [CorpusDocument(id="short", text="a b"),
+                CorpusDocument(id="long", text=" ".join(rng.choice(["a", "b", "c"], 20_000))),
+                CorpusDocument(id="tail", text="c c c")]
+        chunks = pack_chunks(docs, tok, chunk_len=64, min_tail=16)
+        assert len(chunks) == 313  # 20,007 ids: 312 whole chunks and a 39-id tail
+        assert chunks == reference_pack_chunks(docs, tok, 64, 16)
+
+    def test_one_long_document_packs_as_fast_as_many_short_ones(self):
+        """Cutting chunks costs time linear in a document's length: one
+        document of 400k ids packs within 10x the time of 400 documents of
+        1k ids. Copying the rest of the buffer after every chunk took over
+        100x. Encoding is stubbed out, so only the packing is timed."""
+        encoded = {"long": list(range(2, 400_002)), "short": list(range(2, 1_002))}
+        stub = SimpleNamespace(vocab=SimpleNamespace(id_of={SEP_TOKEN: 1}),
+                               encode=lambda text: SimpleNamespace(ids=encoded[text]))
+
+        def best_time(docs):
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                pack_chunks(docs, stub, chunk_len=64, min_tail=16)
+                runs.append(time.perf_counter() - start)
+            return min(runs)
+
+        one = best_time([CorpusDocument(id="long", text="long")])
+        many = best_time([CorpusDocument(id=str(i), text="short") for i in range(400)])
+        assert one < 10 * many, (one, many)
 
     def test_chunk_len_below_min_tail_rejected(self):
         tok = word_tokenizer("a")

@@ -62,6 +62,17 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, hidden=30, heads=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", 0), ("hidden", 0), ("layers", 0), ("layers", -1), ("heads", 0),
+        ("ffn_dim", 0), ("num_projections", 0), ("max_train_len", 0)])
+    def test_size_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            ModelConfig(**{"vocab_size": 10, field: value})
+
+    def test_zero_first_cutoff_rejected(self):
+        with pytest.raises(ValueError, match="from >= 1"):
+            ModelConfig(vocab_size=10, adaptive_cutoffs=(0, 10))
+
     def test_bad_cutoffs_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, adaptive_cutoffs=(5, 5, 10))

@@ -34,7 +34,6 @@ _ACCEPTANCE_OP = "acceptance bodies call it as ad.<name>"
 KEPT_FOR_TESTS = {
     "autodiff.tensor": _ACCEPTANCE_OP,
     "autodiff.sub": _ACCEPTANCE_OP,
-    "autodiff.div": _ACCEPTANCE_OP,
     "autodiff.tanh": _ACCEPTANCE_OP,
 }
 
